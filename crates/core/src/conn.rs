@@ -291,17 +291,8 @@ impl<T: Serialize + DeserializeOwned> MuxConn<T> {
     ) -> io::Result<(T, usize, usize)> {
         let bytes_out = {
             let mut w = self.writer.lock();
-            let written = match (meta, &self.faults) {
-                (Some(m), Some(f)) => {
-                    f.write_meta_frame(Direction::Outbound, &mut *w, corr, m, request)
-                }
-                (Some(m), None) => wire::write_meta_frame(&mut *w, corr, m, request),
-                (None, Some(f)) => {
-                    f.write_correlated_frame(Direction::Outbound, &mut *w, corr, request)
-                }
-                (None, None) => wire::write_correlated_frame(&mut *w, corr, request),
-            };
-            match written {
+            let faults = self.faults.as_deref().map(|f| (f, Direction::Outbound));
+            match wire::send_frame(&mut *w, Some(corr), meta, request, faults) {
                 Ok(n) => n,
                 Err(e) => {
                     let kind = e.kind();
@@ -389,11 +380,11 @@ impl<T: Serialize + DeserializeOwned> MuxConn<T> {
         // A frame is arriving: switch to the full IO timeout so a
         // trickling sender is bounded but not starved mid-frame.
         self.stream.set_read_timeout(Some(self.io_timeout))?;
-        let got = match &self.faults {
-            Some(f) => f.read_any_frame_sized::<T>(Direction::Outbound, &mut &self.stream)?,
-            None => wire::read_any_frame_sized::<T>(&mut &self.stream)?,
-        };
-        let Some((frame, wire_bytes)) = got else {
+        if let Some(f) = &self.faults {
+            f.delay(Direction::Outbound);
+        }
+        let Some((frame, _, wire_bytes)) = wire::read_any_frame_meta_sized::<T>(&mut &self.stream)?
+        else {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "peer closed pooled stream",
@@ -412,7 +403,7 @@ impl<T: Serialize + DeserializeOwned> MuxConn<T> {
                     _ => self.metrics.unknown_corr.inc(),
                 }
             }
-            Frame::Legacy(_) => {
+            Frame::Bare(_) => {
                 // An uncorrelated frame on a mux stream cannot be
                 // routed to any waiter; drop it, same accounting.
                 self.metrics.unknown_corr.inc();
@@ -493,7 +484,7 @@ impl<T: Serialize + DeserializeOwned> ConnPool<T> {
     }
 
     /// Check out an exclusive stream for a conversational exchange
-    /// (gossip alternates legacy frames in strict order, so the stream
+    /// (gossip alternates bare frames in strict order, so the stream
     /// cannot be shared while the conversation runs). Returns the
     /// stream plus whether it was reused from the pool; return it with
     /// [`Self::check_in`] after a clean exchange, drop it on failure.
@@ -710,8 +701,8 @@ mod tests {
             while let Ok((mut s, _)) = listener.accept() {
                 let _ = s.set_read_timeout(Some(Duration::from_secs(5)));
                 loop {
-                    match wire::read_any_frame_sized::<Vec<u32>>(&mut s) {
-                        Ok(Some((Frame::Correlated(id, v), _))) => {
+                    match wire::read_any_frame_meta_sized::<Vec<u32>>(&mut s) {
+                        Ok(Some((Frame::Correlated(id, v), _, _))) => {
                             if wire::write_correlated_frame(&mut s, id, &v).is_err() {
                                 break;
                             }
@@ -733,14 +724,10 @@ mod tests {
     fn checkout_reuses_checked_in_streams() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        // Accept and hold connections open so check-ins stay usable.
+        // Accept the one connection the test opens (both later
+        // checkouts are reuses) and hold it so check-ins stay usable.
         let held = std::thread::spawn(move || {
-            let mut conns = Vec::new();
-            while conns.len() < 2 {
-                if let Ok((s, _)) = listener.accept() {
-                    conns.push(s);
-                }
-            }
+            let _conn = listener.accept();
             std::thread::sleep(Duration::from_millis(500));
         });
         let (p, m) = pool(ConnConfig::default());
@@ -753,7 +740,6 @@ mod tests {
         assert_eq!(m.opened.get(), 1, "reuse must not connect");
         assert_eq!(m.reused.get(), 1);
         p.check_in(&addr, s2);
-        // A second fresh checkout while the first idles.
         let (s3, reused) = p.checkout(&addr).unwrap();
         assert!(reused);
         drop(s3);
@@ -865,7 +851,7 @@ mod tests {
         // flight until its timeout.
         let server = std::thread::spawn(move || {
             let (mut s, _) = listener.accept().unwrap();
-            let _ = wire::read_any_frame_sized::<Vec<u32>>(&mut s);
+            let _ = wire::read_any_frame_meta_sized::<Vec<u32>>(&mut s);
             std::thread::sleep(Duration::from_millis(600));
         });
         let (p, _) = pool(ConnConfig {

@@ -12,7 +12,7 @@
 //!
 //! ## On-disk layout
 //!
-//! - `snapshot.db` — one CRC frame ([`crate::wire::write_crc_frame`])
+//! - `snapshot.db` — one CRC frame ([`crate::wire::crc_frame_bytes`])
 //!   holding the full [`NodeState`]. Written atomically: serialize →
 //!   write to `snapshot.tmp` → fsync → rename → fsync the directory.
 //! - `wal.log` — a sequence of CRC frames, one [`WalRecord`] each,

@@ -3,12 +3,14 @@
 //! The paper evaluates PlanetP under heavy churn (§6.3): peers leave
 //! mid-gossip and offline contacts cost a detection timeout. The
 //! simulator models this directly; the live runtime needs faults
-//! injected at the socket layer. A [`FaultInjector`] sits between
-//! [`crate::live::LiveNode`] and its streams and — driven by a seeded
-//! RNG — refuses connections, delays I/O, drops connections mid-frame,
-//! truncates frames, or corrupts frame bytes, per direction
-//! (outbound = connections this node initiates, inbound = connections
-//! it accepts).
+//! injected at the socket layer. A [`FaultInjector`] holds the policy
+//! and no framing code: [`crate::live::LiveNode`] asks it whether to
+//! admit a connection and whether to stall before a read, and the
+//! production frame writer ([`crate::wire::send_frame`]) hands it every
+//! finished frame to judge ([`FaultInjector::frame_fate`]) — write it
+//! all, drop the connection mid-frame, truncate it, corrupt its body,
+//! or lose a reply — driven by a seeded RNG, per direction (outbound =
+//! connections this node initiates, inbound = connections it accepts).
 //!
 //! The injector is compiled into the runtime (not just tests): a node
 //! configured without one pays a single `Option` check per operation.
@@ -29,8 +31,6 @@
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -213,7 +213,18 @@ impl FaultStats {
     }
 }
 
-/// The injector. Wraps stream setup and frame I/O; see module docs.
+/// What becomes of a finished frame ([`FaultInjector::frame_fate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FrameFate {
+    /// Write the first `n` bytes and report `n` written: the whole
+    /// frame, a silently shortened one, or nothing at all.
+    Deliver(usize),
+    /// Write the first `n` bytes, then fail the write with `BrokenPipe`.
+    Break(usize),
+}
+
+/// The injector. Gates stream setup and judges finished frames; see
+/// module docs.
 pub struct FaultInjector {
     plan: FaultPlan,
     store: StoreFaultRules,
@@ -323,274 +334,85 @@ impl FaultInjector {
     /// caller treats the error exactly like a real refused connect) and
     /// otherwise optionally delay it.
     pub fn admit(&self, dir: Direction) -> io::Result<()> {
-        let rules = *self.rules(dir);
-        if self.roll(rules.refuse_connection) {
+        if self.roll(self.rules(dir).refuse_connection) {
             self.counters.refused.fetch_add(1, Ordering::Relaxed);
             return Err(io::Error::new(
                 io::ErrorKind::ConnectionRefused,
                 "injected connection refusal",
             ));
         }
-        self.maybe_delay(&rules);
+        self.delay(dir);
         Ok(())
     }
 
-    fn maybe_delay(&self, rules: &FaultRules) {
+    /// Delay the calling thread with the configured probability. Rolled
+    /// before a connection is admitted, before a frame is judged, and —
+    /// the hook callers use directly — before a frame is read.
+    /// (Read-side corruption is covered by write-side faults on the
+    /// other end.)
+    pub(crate) fn delay(&self, dir: Direction) {
+        let rules = self.rules(dir);
         if rules.delay_ms > 0 && self.roll(rules.delay) {
             self.counters.delayed.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(Duration::from_millis(rules.delay_ms));
         }
     }
 
-    /// Write one frame, possibly dropping mid-frame, truncating, or
-    /// corrupting it. Mirrors [`crate::wire::write_frame`] framing and
-    /// returns the bytes actually put on the wire.
-    pub fn write_frame<T: Serialize + ?Sized>(
+    /// Decide what becomes of one finished frame about to be written:
+    /// `frame` is the production encoder's output
+    /// ([`crate::wire::send_frame`]), its first `header_len` bytes the
+    /// header, and `reply` says it is a correlated reply. Rules roll in
+    /// a fixed order — delay, then for replies `drop_reply` (nothing is
+    /// written, the sender is told 0 bytes: it did its work, only the
+    /// reply vanishes) and `stale_corr_id` (the id is perturbed in
+    /// place so the receiving mux cannot route it), then
+    /// `drop_mid_frame` (header and half the body, then the write
+    /// fails), `truncate_frame` (the last 7 body bytes never leave and
+    /// the sender never learns), `corrupt_frame` (body bytes flipped in
+    /// place; the header stays intact).
+    pub(crate) fn frame_fate(
         &self,
         dir: Direction,
-        w: &mut impl Write,
-        value: &T,
-    ) -> io::Result<usize> {
+        frame: &mut [u8],
+        header_len: usize,
+        reply: bool,
+    ) -> FrameFate {
         let rules = *self.rules(dir);
-        let mut body =
-            serde_json::to_vec(value).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        if body.len() > crate::wire::MAX_FRAME_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame exceeds maximum size",
-            ));
+        let body_len = frame.len() - header_len;
+        self.delay(dir);
+        if reply {
+            if self.roll(rules.drop_reply) {
+                self.counters
+                    .dropped_replies
+                    .fetch_add(1, Ordering::Relaxed);
+                return FrameFate::Deliver(0);
+            }
+            if self.roll(rules.stale_corr_id) {
+                self.counters.stale_corr_ids.fetch_add(1, Ordering::Relaxed);
+                for b in &mut frame[crate::wire::CORR_ID_RANGE] {
+                    *b ^= 0x5A;
+                }
+            }
         }
-        self.maybe_delay(&rules);
-        let len = (body.len() as u32).to_be_bytes();
         if self.roll(rules.drop_mid_frame) {
             self.counters
                 .dropped_mid_frame
                 .fetch_add(1, Ordering::Relaxed);
-            w.write_all(&len)?;
-            w.write_all(&body[..body.len() / 2])?;
-            let _ = w.flush();
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "injected mid-frame drop",
-            ));
+            return FrameFate::Break(header_len + body_len / 2);
         }
         if self.roll(rules.truncate_frame) {
             self.counters.truncated.fetch_add(1, Ordering::Relaxed);
-            let keep = body.len().saturating_sub(7.min(body.len()));
-            w.write_all(&len)?;
-            w.write_all(&body[..keep])?;
-            w.flush()?;
-            // Report success: a crashed sender never learns either.
-            return Ok(4 + keep);
+            return FrameFate::Deliver(frame.len() - body_len.min(7));
         }
         if self.roll(rules.corrupt_frame) {
             self.counters.corrupted.fetch_add(1, Ordering::Relaxed);
-            let n = body.len();
-            if n > 0 {
-                // Flip bytes at deterministic-ish positions; xor with
-                // 0xA5 guarantees the byte changes.
-                let mut rng = self.rng.lock();
-                for _ in 0..3.min(n) {
-                    let i = rng.random_range(0..n);
-                    body[i] ^= 0xA5;
-                }
+            // xor with 0xA5 guarantees the byte changes.
+            let mut rng = self.rng.lock();
+            for _ in 0..body_len.min(3) {
+                frame[rng.random_range(header_len..frame.len())] ^= 0xA5;
             }
         }
-        w.write_all(&len)?;
-        w.write_all(&body)?;
-        w.flush()?;
-        Ok(4 + body.len())
-    }
-
-    /// Write one *correlated* frame (see
-    /// [`crate::wire::write_correlated_frame`]) through the same fault
-    /// ladder as [`Self::write_frame`], plus the reply-path rules:
-    /// `drop_reply` writes nothing and reports success (the processing
-    /// side already did its work — only the reply vanishes), and
-    /// `stale_corr_id` perturbs the correlation id so the receiving mux
-    /// cannot route the reply.
-    pub fn write_correlated_frame<T: Serialize + ?Sized>(
-        &self,
-        dir: Direction,
-        w: &mut impl Write,
-        corr_id: u64,
-        value: &T,
-    ) -> io::Result<usize> {
-        let rules = *self.rules(dir);
-        let mut body =
-            serde_json::to_vec(value).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        if body.len() > crate::wire::MAX_FRAME_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame exceeds maximum size",
-            ));
-        }
-        self.maybe_delay(&rules);
-        if self.roll(rules.drop_reply) {
-            self.counters
-                .dropped_replies
-                .fetch_add(1, Ordering::Relaxed);
-            return Ok(0);
-        }
-        let corr_id = if self.roll(rules.stale_corr_id) {
-            self.counters.stale_corr_ids.fetch_add(1, Ordering::Relaxed);
-            corr_id ^ 0x5A5A_5A5A_5A5A_5A5A
-        } else {
-            corr_id
-        };
-        let len = ((body.len() as u32) | crate::wire::CORRELATED_FLAG).to_be_bytes();
-        let id = corr_id.to_be_bytes();
-        if self.roll(rules.drop_mid_frame) {
-            self.counters
-                .dropped_mid_frame
-                .fetch_add(1, Ordering::Relaxed);
-            w.write_all(&len)?;
-            w.write_all(&id)?;
-            w.write_all(&body[..body.len() / 2])?;
-            let _ = w.flush();
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "injected mid-frame drop",
-            ));
-        }
-        if self.roll(rules.truncate_frame) {
-            self.counters.truncated.fetch_add(1, Ordering::Relaxed);
-            let keep = body.len().saturating_sub(7.min(body.len()));
-            w.write_all(&len)?;
-            w.write_all(&id)?;
-            w.write_all(&body[..keep])?;
-            w.flush()?;
-            // Report success: a crashed sender never learns either.
-            return Ok(4 + 8 + keep);
-        }
-        if self.roll(rules.corrupt_frame) {
-            self.counters.corrupted.fetch_add(1, Ordering::Relaxed);
-            let n = body.len();
-            if n > 0 {
-                let mut rng = self.rng.lock();
-                for _ in 0..3.min(n) {
-                    let i = rng.random_range(0..n);
-                    body[i] ^= 0xA5;
-                }
-            }
-        }
-        w.write_all(&len)?;
-        w.write_all(&id)?;
-        w.write_all(&body)?;
-        w.flush()?;
-        Ok(4 + 8 + body.len())
-    }
-
-    /// Write one correlated *metadata* frame (see
-    /// [`crate::wire::write_meta_frame`]) through the request-path
-    /// fault ladder: delay, mid-frame drop, silent truncation, and body
-    /// corruption. The reply-only rules (`drop_reply`,
-    /// `stale_corr_id`) do not apply — this is how requests leave a
-    /// client, not how replies leave a server.
-    pub fn write_meta_frame<T: Serialize + ?Sized>(
-        &self,
-        dir: Direction,
-        w: &mut impl Write,
-        corr_id: u64,
-        meta: crate::wire::FrameMeta,
-        value: &T,
-    ) -> io::Result<usize> {
-        let rules = *self.rules(dir);
-        self.maybe_delay(&rules);
-        if self.roll(rules.drop_mid_frame) {
-            self.counters
-                .dropped_mid_frame
-                .fetch_add(1, Ordering::Relaxed);
-            // Write the full header, half the body, then die — the
-            // receiver sees a well-formed header and a torn body.
-            let body = serde_json::to_vec(value)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            let mut framed = Vec::new();
-            crate::wire::write_meta_frame(&mut framed, corr_id, meta, value)?;
-            let keep = framed.len() - body.len() / 2;
-            w.write_all(&framed[..keep])?;
-            let _ = w.flush();
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "injected mid-frame drop",
-            ));
-        }
-        if self.roll(rules.truncate_frame) {
-            self.counters.truncated.fetch_add(1, Ordering::Relaxed);
-            let mut framed = Vec::new();
-            let n = crate::wire::write_meta_frame(&mut framed, corr_id, meta, value)?;
-            let keep = n.saturating_sub(7.min(n));
-            w.write_all(&framed[..keep])?;
-            w.flush()?;
-            // Report success: a crashed sender never learns either.
-            return Ok(keep);
-        }
-        if self.roll(rules.corrupt_frame) {
-            self.counters.corrupted.fetch_add(1, Ordering::Relaxed);
-            let mut framed = Vec::new();
-            let n = crate::wire::write_meta_frame(&mut framed, corr_id, meta, value)?;
-            let header = 17.min(n);
-            if n > header {
-                let mut rng = self.rng.lock();
-                for _ in 0..3.min(n - header) {
-                    let i = rng.random_range(header..n);
-                    framed[i] ^= 0xA5;
-                }
-            }
-            w.write_all(&framed)?;
-            w.flush()?;
-            return Ok(n);
-        }
-        crate::wire::write_meta_frame(w, corr_id, meta, value)
-    }
-
-    /// Read one frame of any framing generation — legacy, correlated,
-    /// or correlated-with-metadata — plus its wire size, possibly after
-    /// an injected delay. (Read-side corruption is covered by
-    /// write-side faults on the other end.)
-    pub fn read_any_frame_meta_sized<T: DeserializeOwned>(
-        &self,
-        dir: Direction,
-        r: &mut impl Read,
-    ) -> io::Result<Option<(crate::wire::Frame<T>, Option<crate::wire::FrameMeta>, usize)>> {
-        let rules = *self.rules(dir);
-        self.maybe_delay(&rules);
-        crate::wire::read_any_frame_meta_sized(r)
-    }
-
-    /// Read one frame of either framing generation plus its wire size,
-    /// possibly after an injected delay. (Read-side corruption is
-    /// covered by write-side faults on the other end.)
-    pub fn read_any_frame_sized<T: DeserializeOwned>(
-        &self,
-        dir: Direction,
-        r: &mut impl Read,
-    ) -> io::Result<Option<(crate::wire::Frame<T>, usize)>> {
-        let rules = *self.rules(dir);
-        self.maybe_delay(&rules);
-        crate::wire::read_any_frame_sized(r)
-    }
-
-    /// Read one frame, possibly after an injected delay. (Read-side
-    /// corruption is covered by write-side faults on the other end.)
-    pub fn read_frame<T: DeserializeOwned>(
-        &self,
-        dir: Direction,
-        r: &mut impl Read,
-    ) -> io::Result<Option<T>> {
-        Ok(self.read_frame_sized(dir, r)?.map(|(value, _)| value))
-    }
-
-    /// Read one frame plus its wire size, possibly after an injected
-    /// delay.
-    pub fn read_frame_sized<T: DeserializeOwned>(
-        &self,
-        dir: Direction,
-        r: &mut impl Read,
-    ) -> io::Result<Option<(T, usize)>> {
-        let rules = *self.rules(dir);
-        self.maybe_delay(&rules);
-        crate::wire::read_frame_sized(r)
+        FrameFate::Deliver(frame.len())
     }
 }
 
@@ -649,154 +471,97 @@ mod tests {
         assert_eq!(inj.stats().refused, 1);
     }
 
+    /// Every rule through the seam production uses —
+    /// [`crate::wire::send_frame`] with an injector — for every header
+    /// shape: one rule per fault, whatever the shape.
     #[test]
-    fn clean_injector_roundtrips_frames() {
-        let inj = FaultInjector::new(2, FaultPlan::default());
-        let mut buf = Vec::new();
-        inj.write_frame(Direction::Outbound, &mut buf, &[1u32, 2, 3])
-            .unwrap();
-        let mut r = buf.as_slice();
-        let got: Option<Vec<u32>> = inj.read_frame(Direction::Inbound, &mut r).unwrap();
-        assert_eq!(got, Some(vec![1, 2, 3]));
-        assert_eq!(inj.stats().total(), 0);
-    }
+    fn each_rule_leaves_the_same_bytes_on_every_shape() {
+        use crate::wire::{self, Frame, FrameMeta, Priority};
+        const CORR: u64 = 1234;
+        let value = [9u32; 100];
+        let body_len = 201; // "[9,9,...,9]": odd, so floor and ceil differ
+        let meta = FrameMeta::with_deadline(Priority::Interactive, 250);
+        let shapes = [
+            ("bare", None, None),
+            ("correlated", Some(CORR), None),
+            ("meta", Some(CORR), Some(meta)),
+        ];
+        let rule = |set: fn(&mut FaultRules)| {
+            let mut r = FaultRules::default();
+            set(&mut r);
+            r
+        };
+        for (name, corr, meta) in shapes {
+            let reply = corr.is_some() && meta.is_none();
+            let mut clean = Vec::new();
+            wire::send_frame(&mut clean, corr, meta, &value, None).unwrap();
+            let header = clean.len() - body_len;
+            let send = |rules: FaultRules| {
+                let inj = FaultInjector::new(7, FaultPlan::symmetric(rules));
+                let mut out = Vec::new();
+                let faults = Some((&inj, Direction::Outbound));
+                let res = wire::send_frame(&mut out, corr, meta, &value, faults);
+                (res.map_err(|e| e.kind()), out, inj.stats())
+            };
+            let only = |count: u64, of: u64, stats: FaultStats| {
+                assert_eq!((count, stats.total()), (of, of), "{name}: {stats:?}");
+            };
 
-    #[test]
-    fn mid_frame_drop_leaves_truncated_bytes_and_errors() {
-        let inj = FaultInjector::new(
-            3,
-            FaultPlan::symmetric(FaultRules {
-                drop_mid_frame: 1.0,
-                ..FaultRules::default()
-            }),
-        );
-        let mut buf = Vec::new();
-        let err = inj
-            .write_frame(Direction::Outbound, &mut buf, &[9u32; 100])
-            .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-        // The receiving side must see a framing error, not a value.
-        let mut r = buf.as_slice();
-        assert!(crate::wire::read_frame::<Vec<u32>>(&mut r).is_err());
-        assert_eq!(inj.stats().dropped_mid_frame, 1);
-    }
+            let (res, out, stats) = send(FaultRules::default());
+            assert_eq!((res, &out), (Ok(clean.len()), &clean), "{name}: no rule");
+            only(0, 0, stats);
 
-    #[test]
-    fn truncation_reports_success_but_receiver_errors() {
-        let inj = FaultInjector::new(
-            4,
-            FaultPlan::symmetric(FaultRules {
-                truncate_frame: 1.0,
-                ..FaultRules::default()
-            }),
-        );
-        let mut buf = Vec::new();
-        inj.write_frame(Direction::Outbound, &mut buf, &[9u32; 100])
-            .unwrap();
-        let mut r = buf.as_slice();
-        assert!(crate::wire::read_frame::<Vec<u32>>(&mut r).is_err());
-        assert_eq!(inj.stats().truncated, 1);
-    }
+            let (res, out, stats) = send(rule(|r| (r.delay, r.delay_ms) = (1.0, 1)));
+            assert_eq!((res, &out), (Ok(clean.len()), &clean), "{name}: delay");
+            only(stats.delayed, 1, stats);
 
-    #[test]
-    fn corruption_keeps_framing_but_breaks_decoding() {
-        let inj = FaultInjector::new(
-            5,
-            FaultPlan::symmetric(FaultRules {
-                corrupt_frame: 1.0,
-                ..FaultRules::default()
-            }),
-        );
-        let mut buf = Vec::new();
-        inj.write_frame(Direction::Outbound, &mut buf, &[9u32; 100])
-            .unwrap();
-        let mut r = buf.as_slice();
-        // Well-framed (length matches) but the JSON inside is garbage.
-        let res = crate::wire::read_frame::<Vec<u32>>(&mut r);
-        match res {
-            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData),
-            // An unlucky flip could still parse as different numbers;
-            // either way nothing panics and framing stays intact.
-            Ok(v) => assert!(v.is_some()),
-        }
-        assert_eq!(inj.stats().corrupted, 1);
-    }
+            // Header and floor(body/2), then the write fails.
+            let (res, out, stats) = send(rule(|r| r.drop_mid_frame = 1.0));
+            assert_eq!(res, Err(io::ErrorKind::BrokenPipe), "{name}: drop");
+            assert_eq!(out, clean[..header + body_len / 2], "{name}: drop");
+            only(stats.dropped_mid_frame, 1, stats);
 
-    #[test]
-    fn dropped_reply_reports_success_but_writes_nothing() {
-        let inj = FaultInjector::new(
-            6,
-            FaultPlan::symmetric(FaultRules {
-                drop_reply: 1.0,
-                ..FaultRules::default()
-            }),
-        );
-        let mut buf = Vec::new();
-        let n = inj
-            .write_correlated_frame(Direction::Inbound, &mut buf, 9, &[1u32])
-            .unwrap();
-        assert_eq!(n, 0);
-        assert!(buf.is_empty(), "dropped reply left bytes on the wire");
-        assert_eq!(inj.stats().dropped_replies, 1);
-    }
+            // The last 7 bytes never leave; the sender is told they did.
+            let (res, out, stats) = send(rule(|r| r.truncate_frame = 1.0));
+            assert_eq!(res, Ok(clean.len() - 7), "{name}: truncate");
+            assert_eq!(out, clean[..clean.len() - 7], "{name}: truncate");
+            only(stats.truncated, 1, stats);
 
-    #[test]
-    fn stale_corr_id_changes_the_id_but_keeps_the_frame_valid() {
-        let inj = FaultInjector::new(
-            7,
-            FaultPlan::symmetric(FaultRules {
-                stale_corr_id: 1.0,
-                ..FaultRules::default()
-            }),
-        );
-        let mut buf = Vec::new();
-        inj.write_correlated_frame(Direction::Inbound, &mut buf, 1234, &[5u32])
-            .unwrap();
-        let mut r = buf.as_slice();
-        match crate::wire::read_any_frame_sized::<Vec<u32>>(&mut r).unwrap() {
-            Some((crate::wire::Frame::Correlated(id, v), _)) => {
-                assert_ne!(id, 1234, "id must be perturbed");
-                assert_eq!(v, vec![5], "payload must survive intact");
+            // Well-framed garbage: header intact, 1–3 body bytes flipped.
+            let (res, out, stats) = send(rule(|r| r.corrupt_frame = 1.0));
+            assert_eq!(res, Ok(clean.len()), "{name}: corrupt");
+            assert_eq!(out[..header], clean[..header], "{name}: corrupt");
+            let flipped = out.iter().zip(&clean).filter(|(a, b)| a != b).count();
+            assert!((1..=3).contains(&flipped), "{name}: {flipped} flipped");
+            only(stats.corrupted, 1, stats);
+
+            // The reply-only rules touch replies and nothing else.
+            let (res, out, stats) = send(rule(|r| r.drop_reply = 1.0));
+            if reply {
+                assert_eq!((res, out.len()), (Ok(0), 0), "{name}: drop_reply");
+                only(stats.dropped_replies, 1, stats);
+            } else {
+                assert_eq!((res, &out), (Ok(clean.len()), &clean), "{name}");
+                only(0, 0, stats);
             }
-            other => panic!("expected a correlated frame, got {other:?}"),
+            let (res, out, stats) = send(rule(|r| r.stale_corr_id = 1.0));
+            assert_eq!(res, Ok(clean.len()), "{name}: stale_corr_id");
+            if reply {
+                let (frame, _, _) = wire::read_any_frame_meta_sized::<Vec<u32>>(&mut &out[..])
+                    .unwrap()
+                    .expect("still a valid frame");
+                let stale = CORR ^ 0x5A5A_5A5A_5A5A_5A5A;
+                assert_eq!(frame, Frame::Correlated(stale, value.to_vec()));
+                only(stats.stale_corr_ids, 1, stats);
+            } else {
+                assert_eq!(out, clean, "{name}: stale_corr_id");
+                only(0, 0, stats);
+            }
         }
-        assert_eq!(inj.stats().stale_corr_ids, 1);
     }
 
     #[test]
-    fn clean_injector_roundtrips_correlated_frames() {
-        let inj = FaultInjector::new(8, FaultPlan::default());
-        let mut buf = Vec::new();
-        inj.write_correlated_frame(Direction::Outbound, &mut buf, 77, &[1u32, 2])
-            .unwrap();
-        let mut r = buf.as_slice();
-        let got = inj
-            .read_any_frame_sized::<Vec<u32>>(Direction::Inbound, &mut r)
-            .unwrap()
-            .expect("one frame");
-        assert_eq!(got.0, crate::wire::Frame::Correlated(77, vec![1, 2]));
-        assert_eq!(inj.stats().total(), 0);
-    }
-
-    #[test]
-    fn clean_injector_roundtrips_meta_frames() {
-        let inj = FaultInjector::new(12, FaultPlan::default());
-        let meta = crate::wire::FrameMeta::with_deadline(crate::wire::Priority::Interactive, 250);
-        let mut buf = Vec::new();
-        inj.write_meta_frame(Direction::Outbound, &mut buf, 21, meta, &[3u32, 4])
-            .unwrap();
-        let mut r = buf.as_slice();
-        let (frame, got_meta, _) = inj
-            .read_any_frame_meta_sized::<Vec<u32>>(Direction::Inbound, &mut r)
-            .unwrap()
-            .expect("one frame");
-        assert_eq!(frame, crate::wire::Frame::Correlated(21, vec![3, 4]));
-        assert_eq!(got_meta, Some(meta));
-        assert_eq!(inj.stats().total(), 0);
-    }
-
-    #[test]
-    fn truncated_meta_frame_reports_success_but_receiver_errors() {
+    fn a_body_shorter_than_the_truncation_keeps_its_header() {
         let inj = FaultInjector::new(
             13,
             FaultPlan::symmetric(FaultRules {
@@ -804,13 +569,25 @@ mod tests {
                 ..FaultRules::default()
             }),
         );
-        let meta = crate::wire::FrameMeta::new(crate::wire::Priority::Background);
-        let mut buf = Vec::new();
-        inj.write_meta_frame(Direction::Outbound, &mut buf, 1, meta, &[9u32; 50])
-            .unwrap();
-        let mut r = buf.as_slice();
-        assert!(crate::wire::read_any_frame_meta_sized::<Vec<u32>>(&mut r).is_err());
-        assert_eq!(inj.stats().truncated, 1);
+        let mut frame = *b"HDR[1]";
+        assert_eq!(
+            inj.frame_fate(Direction::Inbound, &mut frame, 3, false),
+            FrameFate::Deliver(3)
+        );
+        // Nothing to corrupt or halve in an empty body either.
+        let inj = FaultInjector::new(
+            14,
+            FaultPlan::symmetric(FaultRules {
+                corrupt_frame: 1.0,
+                ..FaultRules::default()
+            }),
+        );
+        let mut frame = *b"HDR";
+        assert_eq!(
+            inj.frame_fate(Direction::Inbound, &mut frame, 3, false),
+            FrameFate::Deliver(3)
+        );
+        assert_eq!(&frame, b"HDR");
     }
 
     #[test]

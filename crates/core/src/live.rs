@@ -239,7 +239,7 @@ pub enum LiveMsg {
 }
 
 /// The admission class of a request message when its sender attached
-/// no explicit [`FrameMeta`] (legacy clients, gossip streams): searches
+/// no explicit [`FrameMeta`] (one-shot clients, gossip streams): searches
 /// serve a waiting human, gossip and stats keep the community coherent,
 /// replica pushes are deferrable background repair. Reply types never
 /// pass admission on their own and default to Control.
@@ -852,25 +852,28 @@ impl Inner {
         Ok(stream)
     }
 
+    /// The injector and the direction it should judge, for the frame
+    /// writer.
+    fn faults(&self, dir: Direction) -> Option<(&FaultInjector, Direction)> {
+        self.config.faults.as_deref().map(|f| (f, dir))
+    }
+
     fn send(&self, dir: Direction, stream: &mut TcpStream, batch: &[LiveMsg]) -> io::Result<()> {
-        let wire_bytes = match &self.config.faults {
-            Some(f) => f.write_frame(dir, stream, batch)?,
-            None => crate::wire::write_frame(stream, batch)?,
-        };
+        let wire_bytes = crate::wire::send_frame(stream, None, None, batch, self.faults(dir))?;
         self.stats.bytes_out.add(wire_bytes as u64);
         self.stats.frames_out.inc();
         Ok(())
     }
 
     fn recv(&self, dir: Direction, stream: &mut TcpStream) -> io::Result<Option<Vec<LiveMsg>>> {
-        let got = match &self.config.faults {
-            Some(f) => f.read_frame_sized(dir, stream)?,
-            None => crate::wire::read_frame_sized(stream)?,
-        };
-        Ok(got.map(|(batch, wire_bytes)| {
+        if let Some(f) = &self.config.faults {
+            f.delay(dir);
+        }
+        let got = crate::wire::read_any_frame_meta_sized::<Vec<LiveMsg>>(stream)?;
+        Ok(got.map(|(frame, _, wire_bytes)| {
             self.stats.bytes_in.add(wire_bytes as u64);
             self.stats.frames_in.inc();
-            batch
+            frame.into_value()
         }))
     }
 
@@ -1152,7 +1155,7 @@ impl Inner {
     /// stream is replaced transparently inside the pool and reported
     /// via [`RpcConnInfo::stale_reconnect`] — the attempt still counts
     /// as a single success. Without pooling this is the original
-    /// connect-send-read-hangup exchange (legacy frames, which carry no
+    /// connect-send-read-hangup exchange (bare frames, which carry no
     /// metadata — the server then classifies by message type).
     ///
     /// `meta` attaches the request's deadline budget and priority class
@@ -1979,7 +1982,7 @@ impl Inner {
         inner.enqueue_conn(conn);
     }
 
-    /// Read one inbound frame — legacy, correlated, or metadata-bearing
+    /// Read one inbound frame — bare, correlated, or metadata-bearing
     /// — classify it, pass the admission gate, and dispatch it.
     /// Returns whether the connection is still healthy enough to keep.
     ///
@@ -1991,10 +1994,10 @@ impl Inner {
     /// [`LiveMsg::Busy`] — never a silent hangup — and an expired one
     /// is dropped without service, since its caller already gave up.
     fn serve_one_frame(&self, stream: &mut TcpStream) -> bool {
-        let got = match &self.config.faults {
-            Some(f) => f.read_any_frame_meta_sized::<Vec<LiveMsg>>(Direction::Inbound, stream),
-            None => crate::wire::read_any_frame_meta_sized::<Vec<LiveMsg>>(stream),
-        };
+        if let Some(f) = &self.config.faults {
+            f.delay(Direction::Inbound);
+        }
+        let got = crate::wire::read_any_frame_meta_sized::<Vec<LiveMsg>>(stream);
         let receipt = Instant::now();
         let (frame, meta, wire_bytes) = match got {
             Ok(Some(x)) => x,
@@ -2009,9 +2012,9 @@ impl Inner {
         self.stats.frames_in.inc();
         let (corr, batch) = match frame {
             Frame::Correlated(id, batch) => (Some(id), batch),
-            Frame::Legacy(batch) => (None, batch),
+            Frame::Bare(batch) => (None, batch),
         };
-        // Classification: the sender's explicit class wins; a legacy
+        // Classification: the sender's explicit class wins; a bare
         // frame takes the most urgent class of its batch (`min` —
         // `Priority` orders Interactive first).
         let class = match &meta {
@@ -2086,7 +2089,7 @@ impl Inner {
         for m in batch {
             match m {
                 LiveMsg::Gossip { from, msg } => {
-                    // Gossip alternates legacy frames inline on this
+                    // Gossip alternates bare frames inline on this
                     // stream; the conversation ends at a clean frame
                     // boundary, so the stream stays reusable.
                     if let Err(e) = self.converse(stream, from, msg) {
@@ -2187,20 +2190,12 @@ impl Inner {
 
     /// Write one RPC reply, counting (not swallowing) failures. A
     /// `corr` id echoes the request's correlation id so the client's
-    /// multiplexer can route the reply; `None` writes a legacy frame
-    /// for old-style one-shot clients.
+    /// multiplexer can route the reply; `None` writes a bare frame
+    /// for one-shot clients.
     fn reply_framed(&self, stream: &mut TcpStream, corr: Option<u64>, msg: LiveMsg) {
         let batch = vec![msg];
-        let res = match corr {
-            Some(id) => match &self.config.faults {
-                Some(f) => f.write_correlated_frame(Direction::Inbound, stream, id, &batch),
-                None => crate::wire::write_correlated_frame(stream, id, &batch),
-            },
-            None => match &self.config.faults {
-                Some(f) => f.write_frame(Direction::Inbound, stream, &batch),
-                None => crate::wire::write_frame(stream, &batch),
-            },
-        };
+        let faults = self.faults(Direction::Inbound);
+        let res = crate::wire::send_frame(stream, corr, None, &batch, faults);
         match res {
             Ok(n) => {
                 // An injected dropped reply reports 0 bytes written —
@@ -3161,9 +3156,9 @@ pub fn scrape_stats(addr: &str, timeout: Duration) -> io::Result<MetricsSnapshot
     stream.set_write_timeout(Some(timeout))?;
     let _ = stream.set_nodelay(true);
     crate::wire::write_frame(&mut stream, &[LiveMsg::StatsRequest])?;
-    let batch: Vec<LiveMsg> = crate::wire::read_frame(&mut stream)?
+    let (frame, _, _) = crate::wire::read_any_frame_meta_sized::<Vec<LiveMsg>>(&mut stream)?
         .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "no reply"))?;
-    match batch.into_iter().next() {
+    match frame.into_value().into_iter().next() {
         Some(LiveMsg::StatsResponse { snapshot }) => Ok(snapshot),
         _ => Err(io::Error::new(
             io::ErrorKind::InvalidData,

@@ -188,8 +188,11 @@ fn coverage_reports_dead_peers() {
         || nodes.iter().all(|n| n.directory_size() == 4),
         Duration::from_secs(30),
     ));
-    for n in &nodes[1..] {
-        n.publish("<d>shared subject matter</d>").unwrap();
+    // One text per peer: byte-identical documents share a content hash
+    // and a ranked search dedupes them to one hit.
+    for (i, n) in nodes.iter().enumerate().skip(1) {
+        n.publish(&format!("<d>shared subject matter volume{i}</d>"))
+            .unwrap();
     }
     assert!(wait_for(
         || {

@@ -1,19 +1,77 @@
-//! Adversarial tests of the live wire framing: hostile length
-//! prefixes, connections dying mid-frame, pathological readers, the
+//! Adversarial tests of the live wire framing through its one reader:
+//! hostile length prefixes (with the allocation they may force
+//! *measured*), connections dying mid-frame, pathological readers, the
 //! multiplexed correlated framing under out-of-order and misrouted
 //! replies — and the `GetStats` messages riding that framing intact.
+//! The shape × malformation table lives beside the codec
+//! (`wire::tests::every_shape_through_the_one_reader`).
 
 use planetp::wire::{
-    read_any_frame_meta_sized, read_any_frame_sized, read_frame, read_frame_sized,
-    write_correlated_frame, write_frame, write_meta_frame, Frame, FrameMeta, Priority,
-    MAX_FRAME_BYTES,
+    read_any_frame_meta_sized, write_correlated_frame, write_frame, write_meta_frame, Frame,
+    FrameMeta, Priority, MAX_FRAME_BYTES,
 };
 use planetp::{ConnConfig, ConnMetrics, ConnPool, LiveMsg, MetricsSnapshot, Registry};
 use planetp_obs::names;
+use serde::de::DeserializeOwned;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::{self, Read};
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
+
+thread_local! {
+    /// Largest single allocation this thread has asked for.
+    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, noting the largest request per thread — so
+/// "never pre-allocates the claimed length" is an assertion, not a
+/// comment.
+struct NotingAlloc;
+
+impl NotingAlloc {
+    fn note(size: usize) {
+        let _ = LARGEST_ALLOC.try_with(|c| c.set(c.get().max(size)));
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; noting the size touches only a
+// const-initialised, destructor-free thread-local `Cell` and allocates
+// nothing.
+unsafe impl GlobalAlloc for NotingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::note(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: NotingAlloc = NotingAlloc;
+
+/// The next frame's payload; `None` on clean EOF.
+fn read_value<T: DeserializeOwned>(r: &mut impl Read) -> Option<T> {
+    let got = read_any_frame_meta_sized(r).unwrap();
+    got.map(|(frame, _, _)| frame.into_value())
+}
+
+/// One small frame of each header shape, in header-length order.
+fn one_of_each() -> [Vec<u8>; 3] {
+    let mut frames = [Vec::new(), Vec::new(), Vec::new()];
+    write_frame(&mut frames[0], &vec![1u32]).unwrap();
+    write_correlated_frame(&mut frames[1], 9, &vec![2u32]).unwrap();
+    let meta = FrameMeta::with_deadline(Priority::Control, 777);
+    write_meta_frame(&mut frames[2], 10, meta, &vec![3u32]).unwrap();
+    frames
+}
 
 /// A reader that doles out at most one byte per call and reports
 /// `Interrupted` before every other byte — the worst legal behaviour a
@@ -52,29 +110,39 @@ impl Read for TricklingReader<'_> {
 
 #[test]
 fn prefix_beyond_max_is_invalid_data() {
-    for claimed in [MAX_FRAME_BYTES as u32 + 1, u32::MAX] {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&claimed.to_be_bytes());
-        // Follow the lying prefix with some bytes so the failure cannot
-        // be blamed on EOF.
-        buf.extend_from_slice(&[0u8; 32]);
-        let err = read_frame::<Vec<u32>>(&mut buf.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "claimed {claimed}");
+    // Whatever the flag bits say, the masked length is what is bounded.
+    for flags in [0u32, 1 << 31, 3 << 30] {
+        for claimed in [MAX_FRAME_BYTES as u32 + 1, (1 << 30) - 1] {
+            let mut buf = (flags | claimed).to_be_bytes().to_vec();
+            // Follow the lying prefix with some bytes so the failure
+            // cannot be blamed on EOF.
+            buf.extend_from_slice(&[0u8; 32]);
+            let err = read_any_frame_meta_sized::<Vec<u32>>(&mut buf.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "claimed {claimed}");
+        }
     }
 }
 
 #[test]
 fn huge_prefix_with_tiny_body_fails_at_eof_not_at_alloc() {
-    // Claims 63 MiB (inside the limit, so the size check passes), sends
-    // three bytes, hangs up. The incremental reader must buffer only
-    // the arrived bytes and then report the truncation; pre-allocating
-    // the claimed size up front would make this test OOM-prone rather
-    // than fast.
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&((63u32) << 20).to_be_bytes());
-    buf.extend_from_slice(b"[1,");
-    let err = read_frame::<Vec<u32>>(&mut buf.as_slice()).unwrap_err();
-    assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    // Each shape's header claiming 63 MiB (inside the limit, so the
+    // size check passes), then three bytes, then a hangup. The reader
+    // must buffer only what arrived and report the truncation.
+    for frame in one_of_each() {
+        let header = frame.len() - 3; // the bodies are "[1]", "[2]", "[3]"
+        let flags = u32::from(frame[0] & 0xC0) << 24;
+        let mut buf = frame[..header].to_vec();
+        buf[..4].copy_from_slice(&(flags | (63 << 20)).to_be_bytes());
+        buf.extend_from_slice(b"[1,");
+        LARGEST_ALLOC.with(|c| c.set(0));
+        let err = read_any_frame_meta_sized::<Vec<u32>>(&mut buf.as_slice()).unwrap_err();
+        let largest = LARGEST_ALLOC.with(Cell::get);
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            largest <= 1 << 20,
+            "allocated {largest} B for a 3-byte body"
+        );
+    }
 }
 
 #[test]
@@ -82,37 +150,50 @@ fn zero_length_frame_is_rejected_not_eof() {
     // A 0-length frame is a complete frame whose body fails to parse:
     // InvalidData, not a clean EOF and not a truncation.
     let buf = 0u32.to_be_bytes();
-    let err = read_frame::<Vec<u32>>(&mut buf.as_slice()).unwrap_err();
+    let err = read_any_frame_meta_sized::<Vec<u32>>(&mut buf.as_slice()).unwrap_err();
     assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 }
 
 #[test]
 fn death_inside_the_length_prefix_is_an_error() {
     // Clean EOF at a frame boundary is None...
-    assert!(read_frame::<Vec<u32>>(&mut io::empty()).unwrap().is_none());
+    assert!(read_any_frame_meta_sized::<Vec<u32>>(&mut io::empty())
+        .unwrap()
+        .is_none());
     // ...but dying after 1-3 prefix bytes is a truncation.
     for cut in 1..4usize {
         let buf = 8u32.to_be_bytes();
-        let err = read_frame::<Vec<u32>>(&mut &buf[..cut]).unwrap_err();
+        let err = read_any_frame_meta_sized::<Vec<u32>>(&mut &buf[..cut]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
     }
 }
 
 #[test]
-fn trickling_interrupted_reads_still_deliver_the_frame() {
-    let mut wire = Vec::new();
-    let written = write_frame(&mut wire, &[1u32, 2, 3]).unwrap();
+fn trickling_interrupted_reads_deliver_every_shape_on_one_stream() {
+    // All three shapes back to back, arriving one byte at a time with
+    // an Interrupted before every byte: headers of 4, 12 and 17 bytes
+    // must reassemble exactly, and reader and writer agree on sizes.
+    let frames = one_of_each();
+    let wire = frames.concat();
     let mut r = TricklingReader::new(&wire);
-    let (value, consumed) = read_frame_sized::<Vec<u32>>(&mut r)
-        .unwrap()
-        .expect("one frame");
-    assert_eq!(value, vec![1, 2, 3]);
-    assert_eq!(
-        consumed, written,
-        "reader and writer disagree on wire bytes"
-    );
+    let expected = [
+        (Frame::Bare(vec![1u32]), None),
+        (Frame::Correlated(9, vec![2]), None),
+        (
+            Frame::Correlated(10, vec![3]),
+            Some(FrameMeta::with_deadline(Priority::Control, 777)),
+        ),
+    ];
+    for ((frame, meta), written) in expected.into_iter().zip(&frames) {
+        let got = read_any_frame_meta_sized::<Vec<u32>>(&mut r)
+            .unwrap()
+            .expect("one frame");
+        assert_eq!(got, (frame, meta, written.len()));
+    }
     assert!(
-        read_frame::<Vec<u32>>(&mut r).unwrap().is_none(),
+        read_any_frame_meta_sized::<Vec<u32>>(&mut r)
+            .unwrap()
+            .is_none(),
         "clean EOF"
     );
 }
@@ -142,12 +223,12 @@ fn get_stats_messages_round_trip() {
     .unwrap();
 
     let mut r = wire.as_slice();
-    let request: Vec<LiveMsg> = read_frame(&mut r).unwrap().expect("request batch");
+    let request: Vec<LiveMsg> = read_value(&mut r).expect("request batch");
     assert!(
         matches!(request.as_slice(), [LiveMsg::StatsRequest]),
         "request decoded as {request:?}"
     );
-    let response: Vec<LiveMsg> = read_frame(&mut r).unwrap().expect("response batch");
+    let response: Vec<LiveMsg> = read_value(&mut r).expect("response batch");
     match response.as_slice() {
         [LiveMsg::StatsResponse { snapshot: got }] => {
             assert_eq!(got, &snapshot, "snapshot changed on the wire");
@@ -161,117 +242,12 @@ fn get_stats_messages_round_trip() {
         }
         other => panic!("response decoded as {other:?}"),
     }
-    assert!(read_frame::<Vec<LiveMsg>>(&mut r).unwrap().is_none());
+    assert!(read_value::<Vec<LiveMsg>>(&mut r).is_none());
 
     // And the snapshot itself survives its own JSON pretty-print cycle
     // (what `planetp stats --json` emits).
     let reparsed = MetricsSnapshot::from_json(&snapshot.to_json()).unwrap();
     assert_eq!(reparsed, snapshot);
-}
-
-#[test]
-fn trickled_correlated_frames_on_a_reused_stream() {
-    // Two back-to-back correlated frames arriving one byte at a time
-    // with an Interrupted before every byte — the reader must deliver
-    // both, with the right ids, and agree with the writer on sizes.
-    let mut wire = Vec::new();
-    let w1 = write_correlated_frame(&mut wire, 7, &vec![10u32, 20]).unwrap();
-    let w2 = write_correlated_frame(&mut wire, 8, &vec![30u32]).unwrap();
-    let mut r = TricklingReader::new(&wire);
-    let (frame, consumed) = read_any_frame_sized::<Vec<u32>>(&mut r)
-        .unwrap()
-        .expect("first frame");
-    assert_eq!(frame, Frame::Correlated(7, vec![10, 20]));
-    assert_eq!(consumed, w1);
-    let (frame, consumed) = read_any_frame_sized::<Vec<u32>>(&mut r)
-        .unwrap()
-        .expect("second frame");
-    assert_eq!(frame, Frame::Correlated(8, vec![30]));
-    assert_eq!(consumed, w2);
-    assert!(
-        read_any_frame_sized::<Vec<u32>>(&mut r).unwrap().is_none(),
-        "clean EOF after both frames"
-    );
-}
-
-#[test]
-fn meta_frames_fail_safe_on_every_older_reader() {
-    // A deadline+priority frame from a new client must be *loudly*
-    // rejected by both generations of older readers — never silently
-    // parsed into garbage, never a clean EOF a server would shrug off.
-    let mut wire = Vec::new();
-    write_meta_frame(
-        &mut wire,
-        41,
-        FrameMeta::with_deadline(Priority::Interactive, 2_500),
-        &vec![1u32, 2],
-    )
-    .unwrap();
-    // Generation 0: the legacy reader (no flag masking at all).
-    let err = read_frame_sized::<Vec<u32>>(&mut wire.as_slice()).unwrap_err();
-    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "legacy reader");
-    // Generation 1: the correlated reader (masks only bit 31).
-    let err = read_any_frame_sized::<Vec<u32>>(&mut wire.as_slice()).unwrap_err();
-    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "correlated reader");
-}
-
-#[test]
-fn meta_reader_accepts_every_older_writer() {
-    // The new reader on a stream written by all three generations in a
-    // row: legacy, correlated, and meta frames interleaved.
-    let mut wire = Vec::new();
-    let w1 = write_frame(&mut wire, &vec![1u32]).unwrap();
-    let w2 = write_correlated_frame(&mut wire, 9, &vec![2u32]).unwrap();
-    let w3 = write_meta_frame(
-        &mut wire,
-        10,
-        FrameMeta::new(Priority::Background),
-        &vec![3u32],
-    )
-    .unwrap();
-    let mut r = wire.as_slice();
-    let (frame, meta, n) = read_any_frame_meta_sized::<Vec<u32>>(&mut r)
-        .unwrap()
-        .expect("legacy frame");
-    assert_eq!(frame, Frame::Legacy(vec![1]));
-    assert!(meta.is_none());
-    assert_eq!(n, w1);
-    let (frame, meta, n) = read_any_frame_meta_sized::<Vec<u32>>(&mut r)
-        .unwrap()
-        .expect("correlated frame");
-    assert_eq!(frame, Frame::Correlated(9, vec![2]));
-    assert!(meta.is_none());
-    assert_eq!(n, w2);
-    let (frame, meta, n) = read_any_frame_meta_sized::<Vec<u32>>(&mut r)
-        .unwrap()
-        .expect("meta frame");
-    assert_eq!(frame, Frame::Correlated(10, vec![3]));
-    let meta = meta.expect("meta survives");
-    assert_eq!(meta.priority, Priority::Background);
-    assert_eq!(meta.deadline_ms, None);
-    assert_eq!(n, w3);
-    assert!(
-        read_any_frame_meta_sized::<Vec<u32>>(&mut r)
-            .unwrap()
-            .is_none(),
-        "clean EOF"
-    );
-}
-
-#[test]
-fn trickled_meta_frames_deliver_deadline_and_class_intact() {
-    // One byte at a time with an Interrupted before every byte — the
-    // 17-byte extended header must reassemble exactly.
-    let mut wire = Vec::new();
-    let meta_in = FrameMeta::with_deadline(Priority::Control, 777);
-    let written = write_meta_frame(&mut wire, 3, meta_in, &vec![5u32, 6]).unwrap();
-    let mut r = TricklingReader::new(&wire);
-    let (frame, meta, consumed) = read_any_frame_meta_sized::<Vec<u32>>(&mut r)
-        .unwrap()
-        .expect("one frame");
-    assert_eq!(frame, Frame::Correlated(3, vec![5, 6]));
-    assert_eq!(meta, Some(meta_in));
-    assert_eq!(consumed, written);
 }
 
 /// A pool over a scripted server for the multiplexing tests; returns
@@ -297,7 +273,8 @@ fn mux_delivers_out_of_order_replies_to_the_right_callers() {
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         // Priming RPC: echo it, so the clients' shared stream exists
         // before the concurrent callers start.
-        let Some((Frame::Correlated(id, v), _)) = read_any_frame_sized::<Vec<u32>>(&mut s).unwrap()
+        let Some((Frame::Correlated(id, v), _, _)) =
+            read_any_frame_meta_sized::<Vec<u32>>(&mut s).unwrap()
         else {
             panic!("expected the priming request")
         };
@@ -306,8 +283,8 @@ fn mux_delivers_out_of_order_replies_to_the_right_callers() {
         // arrival order: the second caller's reply lands first.
         let mut reqs = Vec::new();
         for _ in 0..2 {
-            let Some((Frame::Correlated(id, v), _)) =
-                read_any_frame_sized::<Vec<u32>>(&mut s).unwrap()
+            let Some((Frame::Correlated(id, v), _, _)) =
+                read_any_frame_meta_sized::<Vec<u32>>(&mut s).unwrap()
             else {
                 panic!("expected a correlated request")
             };
@@ -352,24 +329,26 @@ fn mux_delivers_out_of_order_replies_to_the_right_callers() {
 }
 
 #[test]
-fn mux_skips_unknown_duplicate_and_legacy_frames() {
+fn mux_skips_unknown_duplicate_and_bare_frames() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let (pool, metrics, addr) = mux_pool(&listener);
     let server = std::thread::spawn(move || {
         let (mut s, _) = listener.accept().unwrap();
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let Some((Frame::Correlated(id, v), _)) = read_any_frame_sized::<Vec<u32>>(&mut s).unwrap()
+        let Some((Frame::Correlated(id, v), _, _)) =
+            read_any_frame_meta_sized::<Vec<u32>>(&mut s).unwrap()
         else {
             panic!("expected first request")
         };
-        // A reply under a bogus id, a legacy (uncorrelated) frame, the
+        // A reply under a bogus id, a bare (uncorrelated) frame, the
         // real reply, then a duplicate of it.
         write_correlated_frame(&mut s, id ^ 0xdead_beef, &v).unwrap();
         write_frame(&mut s, &vec![99u32]).unwrap();
         write_correlated_frame(&mut s, id, &v).unwrap();
         write_correlated_frame(&mut s, id, &v).unwrap();
         // Second RPC served straight so the client drains the garbage.
-        let Some((Frame::Correlated(id, v), _)) = read_any_frame_sized::<Vec<u32>>(&mut s).unwrap()
+        let Some((Frame::Correlated(id, v), _, _)) =
+            read_any_frame_meta_sized::<Vec<u32>>(&mut s).unwrap()
         else {
             panic!("expected second request")
         };
@@ -381,7 +360,7 @@ fn mux_skips_unknown_duplicate_and_legacy_frames() {
     let (reply, info) = pool.rpc(&addr, &vec![6], Duration::from_secs(2)).unwrap();
     assert_eq!(reply, vec![6]);
     assert!(info.reused, "misrouted frames must not burn the stream");
-    // Bogus id + legacy frame (during rpc 1) + duplicate (drained
+    // Bogus id + bare frame (during rpc 1) + duplicate (drained
     // during rpc 2, whose slot was already gone): all counted, none
     // fatal.
     assert_eq!(metrics.unknown_corr.get(), 3);

@@ -756,7 +756,8 @@ impl<P: Payload> GossipEngine<P> {
     /// Returns how many taught us something. `respread`: whether to
     /// start rumoring what we learned (partial-AE pulls respread —
     /// they are recent, hot news; full AE does not — it is the cold
-    /// path catching residue).
+    /// path catching residue — beyond re-stamping a rumor that is
+    /// already active).
     fn absorb(&mut self, entries: &[PeerState<P>], respread: bool) -> u64 {
         let mut learned = 0;
         for s in entries {
@@ -772,7 +773,12 @@ impl<P: Payload> GossipEngine<P> {
                 s.bloom_version,
                 s.payload.clone(),
             );
-            if respread && s.subject != self.id {
+            // A rumor's id must name the payload it carries
+            // (`build_rumor` reads the entry): one already spreading
+            // older news about this subject carries on with what we now
+            // hold. A receiver would otherwise file this payload under
+            // the old version and XOR later delta steps onto it.
+            if (respread && s.subject != self.id) || self.active.contains_key(&s.subject) {
                 self.activate(
                     RumorId {
                         subject: s.subject,
@@ -877,8 +883,9 @@ impl<P: Payload> GossipEngine<P> {
     }
 
     /// Build the rumor message entry for an active rumor from the
-    /// *current* directory state (which may be fresher than when the
-    /// rumor started). Bloom updates go out as a delta chain whenever a
+    /// directory entry its id names (every path that moves an entry
+    /// re-stamps the subject's active rumor, so the two agree). Bloom
+    /// updates go out as a delta chain whenever a
     /// stored chain covers the rumor's version and is actually smaller
     /// than the full payload; joins (the receiver has no base) and
     /// chainless updates fall back to the full form.

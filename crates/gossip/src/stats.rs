@@ -130,7 +130,7 @@ impl EngineCounters {
     /// counts over (an engine bumps `rumors_originated` during
     /// construction, before any driver can attach a shared registry).
     pub fn attach(&mut self, registry: &Registry) {
-        let mut fresh = Self::in_registry(registry);
+        let fresh = Self::in_registry(registry);
         fresh.rounds.add(self.rounds.get());
         fresh.rumor_msgs_sent.add(self.rumor_msgs_sent.get());
         fresh.ae_msgs_sent.add(self.ae_msgs_sent.get());

@@ -2,8 +2,8 @@
 //! the state machine one message at a time, without a driver loop.
 
 use planetp_gossip::{
-    Algorithm, DeltaChain, DirEntry, Directory, GossipConfig, GossipEngine, Message, PeerStatus,
-    RumorId, RumorKind, RumorPayload, SizedDelta, SizedPayload, SpeedClass,
+    Algorithm, DeltaChain, DirEntry, Directory, GossipConfig, GossipEngine, Message, Payload,
+    PeerStatus, RumorId, RumorKind, RumorPayload, SizedDelta, SizedPayload, SpeedClass,
 };
 
 type Engine = GossipEngine<SizedPayload>;
@@ -60,10 +60,10 @@ fn delta_rumor(
     }
 }
 
-fn tick_until_rumor(e: &mut Engine) -> Msg {
+fn tick_until_rumor<P: Payload>(e: &mut GossipEngine<P>) -> Message<P> {
     for round in 1..100 {
         if let Some(out) = e.tick(round * 30_000) {
-            if matches!(out.message, Msg::Rumor { .. }) {
+            if matches!(out.message, Message::Rumor { .. }) {
                 return out.message;
             }
         }
@@ -783,4 +783,86 @@ fn joiner_first_action_is_anti_entropy_to_bootstrap() {
     // Next tick spreads the Join rumor.
     let out = j.tick(60_000).expect("still has the bootstrap");
     assert!(matches!(out.message, Msg::Rumor { .. }));
+}
+
+/// A toy filter whose deltas are XOR masks, like `BloomDiff`: applying
+/// a step onto the wrong base silently yields wrong bits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct XorBits(u64);
+
+impl Payload for XorBits {
+    type Delta = u64;
+    fn wire_bytes(&self) -> usize {
+        4_000
+    }
+    fn delta_wire_bytes(_: &u64) -> usize {
+        100
+    }
+    fn apply_delta(&self, delta: &u64) -> Option<Self> {
+        Some(XorBits(self.0 ^ delta))
+    }
+}
+
+#[test]
+fn a_rumor_id_names_the_payload_it_carries_after_anti_entropy() {
+    const S: u32 = 0;
+    const B: u32 = 1;
+    const C: u32 = 2;
+    let engine = |me: u32| {
+        let mut dir = Directory::new();
+        for id in [S, B, C] {
+            dir.insert(
+                id,
+                DirEntry {
+                    status_version: 1,
+                    bloom_version: 1,
+                    payload: Some(XorBits(0)),
+                    status: PeerStatus::Online,
+                    speed: SpeedClass::Fast,
+                },
+            );
+        }
+        GossipEngine::with_directory(me, SpeedClass::Fast, GossipConfig::default(), 7, dir)
+    };
+    let (mut s, mut b, mut c) = (engine(S), engine(B), engine(C));
+    // Each publish sets one more bit: v2 = 0b001, v3 = 0b011, v4 = 0b111.
+    let mut bits = 0;
+    let mut publish = |s: &mut GossipEngine<XorBits>, bit: u64| {
+        bits |= bit;
+        s.local_update_delta(XorBits(bits), bit);
+    };
+
+    // 1. S publishes v2; its rumor, a delta, reaches B, which now
+    //    spreads rumor (S, v2).
+    publish(&mut s, 0b001);
+    b.handle_message(S, tick_until_rumor(&mut s), 0);
+    assert_eq!(b.directory().get(S).unwrap().bloom_version, 2);
+    // 2. S publishes v3 and v4.
+    publish(&mut s, 0b010);
+    publish(&mut s, 0b100);
+    // 3. B catches up to v4 by full anti-entropy with S.
+    let mut to_b = s.handle_message(B, Message::AeRequest { digest: 0 }, 0);
+    let mut to_s = b.handle_message(S, to_b.pop().unwrap().1, 0);
+    to_b = s.handle_message(B, to_s.pop().unwrap().1, 0);
+    let reply = to_b.pop().unwrap().1;
+    assert!(matches!(reply, Message::AeReply { .. }));
+    b.handle_message(S, reply, 0);
+    assert_eq!(b.directory().get(S).unwrap().payload, Some(XorBits(0b111)));
+    // 4. B's next rumor round reaches C, still at v1. Whatever id it
+    //    carries must be the version of the payload beside it.
+    let from_b = tick_until_rumor(&mut b);
+    if let Message::Rumor { rumors } = &from_b {
+        let about_s = rumors.iter().find(|r| r.id.subject == S).unwrap();
+        assert_eq!(about_s.id.bloom_version, 4, "B holds v4 and must say so");
+    }
+    c.handle_message(B, from_b, 0);
+    // 5. S's own rumor (S, v4), a chain v1 -> v4, reaches C.
+    c.handle_message(S, tick_until_rumor(&mut s), 0);
+    let at_c = c.directory().get(S).unwrap();
+    assert_eq!(at_c.bloom_version, 4);
+    assert_eq!(
+        at_c.payload,
+        Some(XorBits(0b111)),
+        "C agrees on the version, so it must hold that version's bits"
+    );
 }

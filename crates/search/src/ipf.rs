@@ -39,7 +39,7 @@ impl IpfTable {
             let key = HashedKey::new(t);
             let n_t = filters
                 .iter()
-                .filter(|f| f.borrow().contains_hashed(&key))
+                .filter(|f| Borrow::<BloomFilter>::borrow(*f).contains_hashed(&key))
                 .count();
             values.insert(t.clone(), ipf(n, n_t));
         }
