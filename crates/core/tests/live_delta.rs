@@ -6,8 +6,14 @@
 //! This is the live-runtime acceptance test for the delta wire format:
 //! if a diff ever mis-applies, the mirrored filters diverge and either
 //! the digests or the search results differ between the twins.
+//!
+//! A second test holds the bandwidth side: once a community has
+//! converged, a small publish travels as a diff on *every* path — pushed
+//! rumors, forwarded rumors, pull and anti-entropy replies.
 
 use planetp::live::{LiveConfig, LiveNode};
+use planetp::LocalDataStore;
+use planetp_bloom::CompressedBloom;
 use planetp_gossip::GossipConfig;
 use std::time::{Duration, Instant};
 
@@ -165,4 +171,88 @@ fn delta_gossip_matches_full_filter_gossip_bit_for_bit() {
             n.id()
         );
     }
+}
+
+#[test]
+fn converged_community_moves_small_publishes_as_diffs_on_every_path() {
+    const N: u32 = 6;
+    const K: u64 = 10;
+    let nodes = start_community(N, 4200, true);
+    assert!(
+        wait_for(
+            || nodes.iter().all(|n| n.directory_size() == nodes.len()),
+            Duration::from_secs(30),
+        ),
+        "community never formed"
+    );
+    // Give every filter some weight first, so that a diff is far
+    // smaller than the filter it patches; then age that one large step
+    // out of every stored chain (a push carries the whole chain, and a
+    // chain holding the step that filled the filter is no smaller than
+    // the filter).
+    let seed_doc = |i: usize, round: usize| {
+        let words = if round == 0 { 300 } else { 1 };
+        let body: String = (0..words)
+            .map(|w| format!("seed{i}round{round}word{w} "))
+            .collect();
+        format!("<doc><title>Seed {i}</title><body>{body}</body></doc>")
+    };
+    for round in 0..=GossipConfig::default().max_delta_chain {
+        for (i, n) in nodes.iter().enumerate() {
+            n.publish(&seed_doc(i, round)).unwrap();
+        }
+        assert!(
+            wait_for(|| converged(&nodes), Duration::from_secs(30)),
+            "seed round {round} never converged"
+        );
+    }
+
+    let full_fallbacks = |nodes: &[LiveNode]| -> u64 {
+        nodes
+            .iter()
+            .map(|n| n.gossip_stats().delta_full_fallbacks)
+            .sum()
+    };
+    let pull_reply_bytes = |nodes: &[LiveNode]| -> u64 {
+        nodes
+            .iter()
+            .map(|n| n.metrics_snapshot().counter("gossip.bytes_out.pull_reply"))
+            .sum()
+    };
+    let (fallbacks_before, reply_bytes_before) = (full_fallbacks(&nodes), pull_reply_bytes(&nodes));
+
+    for k in 0..K {
+        let who = (k % u64::from(N)) as usize;
+        nodes[who]
+            .publish(&format!(
+                "<doc><title>Update {k}</title><body>fresh token{k}</body></doc>"
+            ))
+            .unwrap();
+        assert!(
+            wait_for(|| converged(&nodes), Duration::from_secs(30)),
+            "publish {k} by node {who} never converged"
+        );
+    }
+
+    assert_eq!(
+        full_fallbacks(&nodes) - fallbacks_before,
+        0,
+        "a peer sent a whole filter for a one-document update"
+    );
+    // Every pull was answered, and all of them together cost less than
+    // K filters as light as any here has been since its first seed
+    // document — before, each single reply carried a whole filter.
+    let mut lightest = LocalDataStore::new();
+    lightest.publish(&seed_doc(0, 0)).unwrap();
+    let one_full_filter = CompressedBloom::compress(lightest.bloom()).wire_bytes();
+    let reply_bytes = pull_reply_bytes(&nodes) - reply_bytes_before;
+    assert!(
+        reply_bytes < K * one_full_filter as u64,
+        "{reply_bytes} pull-reply bytes for {K} publishes; one full filter is {one_full_filter}"
+    );
+    let breaks: u64 = nodes
+        .iter()
+        .map(|n| n.gossip_stats().delta_chain_breaks)
+        .sum();
+    assert_eq!(breaks, 0, "a delta reply failed to apply");
 }

@@ -33,9 +33,10 @@ struct ActiveRumor {
 /// A stored run of consecutive single-step deltas for one subject,
 /// covering `base_bloom_version .. base_bloom_version + steps.len()`
 /// within `status_version`. Kept alongside the directory (which always
-/// stores the *full* payload) so outgoing bloom-update rumors can carry
-/// the compact chain; receivers that applied a chain keep it too, which
-/// lets them forward deltas instead of re-expanding to full filters.
+/// stores the *full* payload) so outgoing bloom updates — rumors and
+/// pull / anti-entropy replies alike — can carry the compact chain;
+/// receivers that applied a chain keep it too, which lets them forward
+/// deltas instead of re-expanding to full filters.
 #[derive(Debug, Clone)]
 struct StoredChain<P: Payload> {
     status_version: u64,
@@ -51,6 +52,10 @@ impl<P: Payload> StoredChain<P> {
         self.base_bloom_version + self.steps.len() as u32
     }
 }
+
+/// A received delta chain could not be applied; the directory is
+/// untouched and the subject must be pulled in full.
+struct ChainBreak;
 
 /// What a tick produced: one message to send to one target.
 #[derive(Debug, Clone, PartialEq)]
@@ -285,9 +290,10 @@ impl<P: Payload> GossipEngine<P> {
 
     /// The local peer's Bloom filter changed, and `delta` is the
     /// single-step diff from the previous version to `payload`. The
-    /// directory stores the full payload (anti-entropy always ships
-    /// full state); the delta extends this peer's own chain so rumor
-    /// pushes carry diffs — the §7.2 bandwidth optimization.
+    /// directory stores the full payload (what joiners and peers the
+    /// chain no longer covers are sent); the delta extends this peer's
+    /// own chain so rumors and pull replies carry diffs — the §7.2
+    /// bandwidth optimization.
     pub fn local_update_delta(&mut self, payload: P, delta: P::Delta) {
         let (status_version, old_bv) = {
             let e = self.dir.get(self.id).expect("self entry always present");
@@ -515,13 +521,13 @@ impl<P: Payload> GossipEngine<P> {
                 recent_ids,
             } => self.on_rumor_ack(from, &already_knew, &recent_ids),
             Message::Pull { ids } => {
-                let entries = self.states_for(ids.iter().map(|i| i.subject));
+                let entries = self.states_for(&ids);
                 vec![(from, Message::PullReply { entries })]
             }
             Message::PullReply { entries } => {
-                let learned = self.absorb(&entries, true);
+                let (learned, broken) = self.absorb(&entries, true);
                 self.stats.rumors_learned_partial_ae.add(learned);
-                Vec::new()
+                ask(from, broken, |ids| Message::Pull { ids })
             }
             Message::AePing { digest } => {
                 if digest == self.dir.digest() {
@@ -535,18 +541,7 @@ impl<P: Payload> GossipEngine<P> {
                     )]
                 }
             }
-            Message::AeRecent { ids } => {
-                let missing: Vec<RumorId> = ids
-                    .iter()
-                    .filter(|id| id.subject != self.id && !self.knows(**id))
-                    .copied()
-                    .collect();
-                if missing.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![(from, Message::Pull { ids: missing })]
-                }
-            }
+            Message::AeRecent { ids } => self.pull_missing(from, &ids),
             Message::AeRequest { digest } => {
                 if digest == self.dir.digest() {
                     vec![(from, Message::AeEqual)]
@@ -563,35 +558,29 @@ impl<P: Payload> GossipEngine<P> {
                 self.note_gossipless();
                 Vec::new()
             }
+            // Nothing to pull means only we are ahead; the rumor/push
+            // machinery will reach them.
             Message::AeSummary { entries } => {
-                let needed = self.stale_subjects(&entries);
-                if needed.is_empty() {
-                    // Nothing to pull: only we are ahead; the rumor/push
-                    // machinery will reach them.
-                    Vec::new()
-                } else {
-                    vec![(from, Message::AePull { subjects: needed })]
-                }
+                ask(from, self.stale_subjects(&entries), |subjects| {
+                    Message::AePull { subjects }
+                })
             }
             Message::AePull { subjects } => {
-                let entries = self.states_for(subjects.into_iter());
+                let entries = self.states_for(&subjects);
                 vec![(from, Message::AeReply { entries })]
             }
             Message::AeReply { entries } => {
-                let learned = self.absorb(&entries, false);
+                let (learned, broken) = self.absorb(&entries, false);
                 self.stats.rumors_learned_ae.add(learned);
-                Vec::new()
+                ask(from, broken, |subjects| Message::AePull { subjects })
             }
             Message::AePush { entries, digest } => {
                 if digest == self.dir.digest() {
                     vec![(from, Message::AeEqual)]
                 } else {
-                    let needed = self.stale_subjects(&entries);
-                    if needed.is_empty() {
-                        Vec::new()
-                    } else {
-                        vec![(from, Message::AePull { subjects: needed })]
-                    }
+                    ask(from, self.stale_subjects(&entries), |subjects| {
+                        Message::AePull { subjects }
+                    })
                 }
             }
         };
@@ -619,11 +608,9 @@ impl<P: Payload> GossipEngine<P> {
             if knew {
                 continue;
             }
-            if self.apply_news(&r) {
-                self.stats.rumors_learned_push.inc();
-            } else {
-                self.stats.delta_chain_breaks.inc();
-                broken.push(r.id);
+            match self.apply_news(&r) {
+                Ok(()) => self.stats.rumors_learned_push.inc(),
+                Err(ChainBreak) => broken.push(holds_nothing(r.id.subject)),
             }
         }
         let recent_ids = if self.config.algorithm.partial_ae() {
@@ -641,9 +628,7 @@ impl<P: Payload> GossipEngine<P> {
                 recent_ids,
             },
         )];
-        if !broken.is_empty() {
-            out.push((from, Message::Pull { ids: broken }));
-        }
+        out.extend(ask(from, broken, |ids| Message::Pull { ids }));
         out
     }
 
@@ -673,33 +658,33 @@ impl<P: Payload> GossipEngine<P> {
         }
         // Partial anti-entropy: pull anything the responder retired that
         // we have not heard.
-        let missing: Vec<RumorId> = recent_ids
-            .iter()
-            .filter(|id| id.subject != self.id && !self.knows(**id))
-            .copied()
-            .collect();
-        if missing.is_empty() {
-            Vec::new()
-        } else {
-            vec![(from, Message::Pull { ids: missing })]
+        self.pull_missing(from, recent_ids)
+    }
+
+    /// The `Pull` for whichever of the `advertised` news we have not
+    /// heard, naming what we hold of each subject so the reply can be
+    /// the delta from there.
+    fn pull_missing(&self, from: PeerId, advertised: &[RumorId]) -> Vec<(PeerId, Message<P>)> {
+        let mut ids: Vec<RumorId> = Vec::new();
+        for id in advertised {
+            if id.subject != self.id && !self.knows(*id) {
+                let held = self.held(id.subject);
+                // Two advertised versions of one subject are one pull.
+                if !ids.contains(&held) {
+                    ids.push(held);
+                }
+            }
         }
+        ask(from, ids, |ids| Message::Pull { ids })
     }
 
     /// Apply news carried by a rumor and start spreading it ourselves.
     ///
-    /// Returns `false` — leaving the directory untouched — when the
-    /// rumor carried a delta chain this peer cannot apply (missing
-    /// base version, status mismatch, corrupt step): the caller pulls
+    /// Fails — leaving the directory untouched — when the rumor
+    /// carried a delta chain this peer cannot apply: the caller pulls
     /// the full state instead. Every other form always applies.
-    fn apply_news(&mut self, r: &Rumor<P>) -> bool {
-        let payload = match &r.payload {
-            None => None,
-            Some(RumorPayload::Full(p)) => Some(p.clone()),
-            Some(RumorPayload::Delta(chain)) => match self.apply_chain(r.id, chain) {
-                Some(p) => Some(p),
-                None => return false,
-            },
-        };
+    fn apply_news(&mut self, r: &Rumor<P>) -> Result<(), ChainBreak> {
+        let payload = self.full_payload(r.id, r.payload.as_ref())?;
         self.update_entry(
             r.id.subject,
             r.id.status_version,
@@ -710,13 +695,37 @@ impl<P: Payload> GossipEngine<P> {
             self.activate(r.id, r.kind);
         }
         self.learned_news();
-        true
+        Ok(())
+    }
+
+    /// The full payload that news `id`, carried as `payload` by a rumor
+    /// or a reply entry, gives this peer (`None` = it carries none). A
+    /// delta goes through [`Self::apply_chain`]; one that cannot be
+    /// applied (missing base version, status mismatch, corrupt step) is
+    /// counted and changes nothing.
+    fn full_payload(
+        &mut self,
+        id: RumorId,
+        payload: Option<&RumorPayload<P>>,
+    ) -> Result<Option<P>, ChainBreak> {
+        match payload {
+            None => Ok(None),
+            Some(RumorPayload::Full(p)) => Ok(Some(p.clone())),
+            Some(RumorPayload::Delta(chain)) => match self.apply_chain(id, chain) {
+                Some(p) => Ok(Some(p)),
+                None => {
+                    self.stats.delta_chain_breaks.inc();
+                    Err(ChainBreak)
+                }
+            },
+        }
     }
 
     /// Apply the suffix of `chain` that takes our directory entry for
     /// the subject from its current `bloom_version` to `id.bloom_version`.
-    /// On success the received chain replaces our stored chain for the
-    /// subject (so we can forward deltas too). `None` = cannot apply.
+    /// On success the applied steps extend our stored chain for the
+    /// subject (so we can forward deltas too, to peers as far behind as
+    /// either chain reached). `None` = cannot apply.
     fn apply_chain(&mut self, id: RumorId, chain: &DeltaChain<P>) -> Option<P> {
         // A chain is only meaningful within one incarnation and must
         // land exactly on the version the rumor announces.
@@ -737,29 +746,47 @@ impl<P: Payload> GossipEngine<P> {
         for step in &chain.steps[skip..] {
             current = current.apply_delta(step)?;
         }
-        // Remember the chain for forwarding; update_entry validates it
-        // against the entry's new versions and keeps it.
-        self.chains.insert(
-            id.subject,
-            StoredChain {
-                status_version: id.status_version,
-                base_bloom_version: chain.base_bloom_version,
-                steps: chain.steps.iter().cloned().collect(),
-            },
-        );
+        // Remember the steps for forwarding; update_entry validates the
+        // chain against the entry's new versions and keeps it. A stored
+        // chain ends at the version we held, so the steps just applied
+        // continue it — unless the received one reaches further back.
+        let held_bv = e.bloom_version;
+        match self.chains.get_mut(&id.subject) {
+            Some(c)
+                if c.status_version == id.status_version
+                    && c.end_version() == held_bv
+                    && c.base_bloom_version <= chain.base_bloom_version =>
+            {
+                c.steps.extend(chain.steps[skip..].iter().cloned());
+            }
+            _ => {
+                self.chains.insert(
+                    id.subject,
+                    StoredChain {
+                        status_version: id.status_version,
+                        base_bloom_version: chain.base_bloom_version,
+                        steps: chain.steps.iter().cloned().collect(),
+                    },
+                );
+            }
+        }
         self.trim_chain(id.subject);
         self.stats.delta_applied.inc();
         Some(current)
     }
 
-    /// Absorb full peer states from a pull or anti-entropy reply.
-    /// Returns how many taught us something. `respread`: whether to
+    /// Absorb peer states from a pull or anti-entropy reply, deltas
+    /// through the same checked apply as rumors. Returns how many
+    /// taught us something, and a held-nothing id for each subject
+    /// whose chain broke (directory untouched; the caller pulls those
+    /// again, which forces the full form). `respread`: whether to
     /// start rumoring what we learned (partial-AE pulls respread —
     /// they are recent, hot news; full AE does not — it is the cold
     /// path catching residue — beyond re-stamping a rumor that is
     /// already active).
-    fn absorb(&mut self, entries: &[PeerState<P>], respread: bool) -> u64 {
+    fn absorb(&mut self, entries: &[PeerState<P>], respread: bool) -> (u64, Vec<RumorId>) {
         let mut learned = 0;
+        let mut broken = Vec::new();
         for s in entries {
             if !self
                 .dir
@@ -767,26 +794,23 @@ impl<P: Payload> GossipEngine<P> {
             {
                 continue;
             }
-            self.update_entry(
-                s.subject,
-                s.status_version,
-                s.bloom_version,
-                s.payload.clone(),
-            );
+            let id = RumorId {
+                subject: s.subject,
+                status_version: s.status_version,
+                bloom_version: s.bloom_version,
+            };
+            let Ok(payload) = self.full_payload(id, s.payload.as_ref()) else {
+                broken.push(holds_nothing(s.subject));
+                continue;
+            };
+            self.update_entry(s.subject, s.status_version, s.bloom_version, payload);
             // A rumor's id must name the payload it carries
             // (`build_rumor` reads the entry): one already spreading
             // older news about this subject carries on with what we now
             // hold. A receiver would otherwise file this payload under
             // the old version and XOR later delta steps onto it.
             if (respread && s.subject != self.id) || self.active.contains_key(&s.subject) {
-                self.activate(
-                    RumorId {
-                        subject: s.subject,
-                        status_version: s.status_version,
-                        bloom_version: s.bloom_version,
-                    },
-                    RumorKind::BloomUpdate,
-                );
+                self.activate(id, RumorKind::BloomUpdate);
             }
             learned += 1;
         }
@@ -796,7 +820,7 @@ impl<P: Payload> GossipEngine<P> {
             // interval" (§3).
             self.learned_news();
         }
-        learned
+        (learned, broken)
     }
 
     /// Upgrade a directory entry to (sv, bv), keeping the old payload
@@ -835,9 +859,9 @@ impl<P: Payload> GossipEngine<P> {
             }
         }
         // A stored delta chain stays only if it still lands exactly on
-        // the entry's new versions (the delta-apply path re-inserts the
-        // received chain just before calling here; every other path —
-        // full payloads, rejoins, anti-entropy — invalidates it).
+        // the entry's new versions (the delta-apply path extends it
+        // with the received steps just before calling here; every other
+        // path — full payloads, rejoins — invalidates it).
         let stale = self.chains.get(&subject).is_some_and(|c| {
             c.status_version != status_version || c.end_version() != bloom_version
         });
@@ -860,12 +884,7 @@ impl<P: Payload> GossipEngine<P> {
 
     fn activate_self_rumor(&mut self, kind: RumorKind) {
         let e = self.dir.get(self.id).expect("self entry always present");
-        let id = RumorId {
-            subject: self.id,
-            status_version: e.status_version,
-            bloom_version: e.bloom_version,
-        };
-        self.activate(id, kind);
+        self.activate(version_of(self.id, e), kind);
         self.stats.rumors_originated.inc();
     }
 
@@ -885,32 +904,22 @@ impl<P: Payload> GossipEngine<P> {
     /// Build the rumor message entry for an active rumor from the
     /// directory entry its id names (every path that moves an entry
     /// re-stamps the subject's active rumor, so the two agree). Bloom
-    /// updates go out as a delta chain whenever a
-    /// stored chain covers the rumor's version and is actually smaller
-    /// than the full payload; joins (the receiver has no base) and
-    /// chainless updates fall back to the full form.
+    /// updates go out in whichever form [`Self::payload_for`] picks for
+    /// the oldest version the stored chain still covers — a push cannot
+    /// know its receiver's version, and any receiver inside the chain
+    /// applies the suffix it lacks. Joins always go full (the receiver
+    /// has no base).
     fn build_rumor(&self, a: &ActiveRumor) -> Rumor<P> {
-        let e = self.dir.get(a.id.subject);
+        let full = self.dir.get(a.id.subject).and_then(|e| e.payload.as_ref());
         let payload = match a.kind {
             RumorKind::Rejoin => None,
-            RumorKind::Join => e.and_then(|e| e.payload.clone()).map(RumorPayload::Full),
-            RumorKind::BloomUpdate => e.and_then(|e| {
-                let full = e.payload.clone()?;
-                if let Some(chain) = self.chain_for(a.id) {
-                    let full_bytes = PEER_SUMMARY_BYTES + full.wire_bytes();
-                    let delta_bytes = RUMOR_ID_BYTES + chain.wire_bytes();
-                    if delta_bytes < full_bytes {
-                        self.stats.delta_sent.inc();
-                        self.stats
-                            .delta_bytes_saved
-                            .add((full_bytes - delta_bytes) as u64);
-                        return Some(RumorPayload::Delta(chain));
-                    }
-                }
-                if self.config.delta_updates {
-                    self.stats.delta_full_fallbacks.inc();
-                }
-                Some(RumorPayload::Full(full))
+            RumorKind::Join => full.cloned().map(RumorPayload::Full),
+            RumorKind::BloomUpdate => full.map(|full| {
+                let oldest = self
+                    .chains
+                    .get(&a.id.subject)
+                    .map_or(a.id.bloom_version, |c| c.base_bloom_version);
+                self.payload_for(a.id, full, (a.id.status_version, oldest))
             }),
         };
         Rumor {
@@ -920,23 +929,39 @@ impl<P: Payload> GossipEngine<P> {
         }
     }
 
-    /// The stored chain for a rumor, if it exactly covers the rumor's
-    /// announced version within the same incarnation.
-    fn chain_for(&self, id: RumorId) -> Option<DeltaChain<P>> {
-        if !self.config.delta_updates {
-            return None;
+    /// The wire form of news `id` (whose full payload is `full`) for a
+    /// receiver holding `held = (status_version, bloom_version)` of the
+    /// subject: the stored-chain suffix from the held version when a
+    /// chain covers it within the same incarnation and is actually
+    /// smaller than the full payload on the Table 2 model, else the
+    /// full payload. The one delta-or-full decision, shared by rumors
+    /// and pull / anti-entropy replies, and the one place the
+    /// `gossip.delta.{sent,bytes_saved,full_fallbacks}` counters move.
+    fn payload_for(&self, id: RumorId, full: &P, held: (u64, u32)) -> RumorPayload<P> {
+        let (held_sv, held_bv) = held;
+        if self.config.delta_updates && held_sv == id.status_version {
+            if let Some(steps) =
+                self.delta_steps(id.subject, id.status_version, held_bv, id.bloom_version)
+            {
+                let chain = DeltaChain {
+                    base_bloom_version: held_bv,
+                    steps,
+                };
+                let full_bytes = PEER_SUMMARY_BYTES + full.wire_bytes();
+                let delta_bytes = RUMOR_ID_BYTES + chain.wire_bytes();
+                if delta_bytes < full_bytes {
+                    self.stats.delta_sent.inc();
+                    self.stats
+                        .delta_bytes_saved
+                        .add((full_bytes - delta_bytes) as u64);
+                    return RumorPayload::Delta(chain);
+                }
+            }
         }
-        let c = self.chains.get(&id.subject)?;
-        if c.steps.is_empty()
-            || c.status_version != id.status_version
-            || c.end_version() != id.bloom_version
-        {
-            return None;
+        if self.config.delta_updates {
+            self.stats.delta_full_fallbacks.inc();
         }
-        Some(DeltaChain {
-            base_bloom_version: c.base_bloom_version,
-            steps: c.steps.iter().cloned().collect(),
-        })
+        RumorPayload::Full(full.clone())
     }
 
     /// Append one delta step taking `(status_version, old_bv)` to
@@ -1006,26 +1031,44 @@ impl<P: Payload> GossipEngine<P> {
             .collect()
     }
 
-    /// Subjects in `entries` that are newer than our directory.
-    fn stale_subjects(&self, entries: &[PeerSummary]) -> Vec<PeerId> {
+    /// Subjects in `entries` that are newer than our directory, each as
+    /// the version we hold of it (what an `AePull` names).
+    fn stale_subjects(&self, entries: &[PeerSummary]) -> Vec<RumorId> {
         entries
             .iter()
             .filter(|s| {
                 self.dir
                     .is_news(s.subject, s.status_version, s.bloom_version)
             })
-            .map(|s| s.subject)
+            .map(|s| self.held(s.subject))
             .collect()
     }
 
-    fn states_for(&self, subjects: impl Iterator<Item = PeerId>) -> Vec<PeerState<P>> {
-        subjects
-            .filter_map(|s| {
-                self.dir.get(s).map(|e| PeerState {
-                    subject: s,
-                    status_version: e.status_version,
-                    bloom_version: e.bloom_version,
-                    payload: e.payload.clone(),
+    /// What this peer holds of `subject`, as a pull names it: the
+    /// entry's versions when there is a payload a delta could apply to,
+    /// else 0/0.
+    fn held(&self, subject: PeerId) -> RumorId {
+        match self.dir.get(subject) {
+            Some(e) if e.payload.is_some() => version_of(subject, e),
+            _ => holds_nothing(subject),
+        }
+    }
+
+    /// Our current state of each pulled subject, its payload in the
+    /// form [`Self::payload_for`] picks for the version the requester
+    /// holds.
+    fn states_for(&self, held: &[RumorId]) -> Vec<PeerState<P>> {
+        held.iter()
+            .filter_map(|h| {
+                let e = self.dir.get(h.subject)?;
+                let id = version_of(h.subject, e);
+                Some(PeerState {
+                    subject: id.subject,
+                    status_version: id.status_version,
+                    bloom_version: id.bloom_version,
+                    payload: e.payload.as_ref().map(|full| {
+                        self.payload_for(id, full, (h.status_version, h.bloom_version))
+                    }),
                 })
             })
             .collect()
@@ -1057,5 +1100,38 @@ impl<P: Payload> GossipEngine<P> {
             self.stats.interval_resets.inc();
         }
         self.interval_ms = self.config.base_interval_ms;
+    }
+}
+
+/// A request to `to` about `ids` — or nothing to send when there are
+/// none.
+fn ask<P: Payload>(
+    to: PeerId,
+    ids: Vec<RumorId>,
+    request: impl FnOnce(Vec<RumorId>) -> Message<P>,
+) -> Vec<(PeerId, Message<P>)> {
+    if ids.is_empty() {
+        Vec::new()
+    } else {
+        vec![(to, request(ids))]
+    }
+}
+
+/// The version a directory entry for `subject` is at, as a rumor id.
+fn version_of<P: Payload>(subject: PeerId, e: &DirEntry<P>) -> RumorId {
+    RumorId {
+        subject,
+        status_version: e.status_version,
+        bloom_version: e.bloom_version,
+    }
+}
+
+/// The id a pull sends for a subject it holds nothing usable of, which
+/// makes the reply carry the full payload.
+fn holds_nothing(subject: PeerId) -> RumorId {
+    RumorId {
+        subject,
+        status_version: 0,
+        bloom_version: 0,
     }
 }

@@ -6,7 +6,7 @@
 //! sizes against link bandwidth; the live runtime serializes the real
 //! thing.
 
-use crate::rumor::{Payload, Rumor, RumorId};
+use crate::rumor::{Payload, Rumor, RumorId, RumorPayload};
 use crate::PeerId;
 use serde::{Deserialize, Serialize};
 
@@ -30,7 +30,8 @@ pub struct PeerSummary {
     pub bloom_version: u32,
 }
 
-/// Full per-peer state sent when anti-entropy finds the requester stale.
+/// Per-peer state sent when a pull or anti-entropy finds the requester
+/// stale.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PeerState<P: Payload> {
     /// Which peer the state describes.
@@ -39,13 +40,15 @@ pub struct PeerState<P: Payload> {
     pub status_version: u64,
     /// Bloom filter version.
     pub bloom_version: u32,
-    /// The Bloom filter itself (absent if the subject never shared one).
-    pub payload: Option<P>,
+    /// The Bloom filter at that version: the delta chain from the
+    /// version the requester said it holds when the responder has one,
+    /// else the full filter (absent if the subject never shared one).
+    pub payload: Option<RumorPayload<P>>,
 }
 
 impl<P: Payload> PeerState<P> {
     fn wire_bytes(&self) -> usize {
-        PEER_SUMMARY_BYTES + self.payload.as_ref().map_or(0, Payload::wire_bytes)
+        RumorPayload::entry_wire_bytes(self.payload.as_ref())
     }
 }
 
@@ -66,14 +69,17 @@ pub enum Message<P: Payload> {
         /// Ids of the last `m` rumors the responder retired.
         recent_ids: Vec<RumorId>,
     },
-    /// Partial anti-entropy pull: request full state for these subjects.
+    /// Partial anti-entropy pull: request the current state of these
+    /// subjects.
     Pull {
-        /// Rumor ids (subjects + versions) the sender is missing.
+        /// Per subject, the `(status_version, bloom_version)` the sender
+        /// *holds* (0/0 = nothing), so the reply can be the delta from
+        /// there.
         ids: Vec<RumorId>,
     },
     /// Reply to `Pull`.
     PullReply {
-        /// Full state for the pulled subjects.
+        /// Current state of the pulled subjects.
         entries: Vec<PeerState<P>>,
     },
     /// Cheap idle-round exchange: the sender's directory digest. An
@@ -105,14 +111,15 @@ pub enum Message<P: Payload> {
         /// One line per known peer.
         entries: Vec<PeerSummary>,
     },
-    /// Request full state for subjects the requester found stale.
+    /// Request the current state of subjects the requester found stale.
     AePull {
-        /// Subjects to fetch.
-        subjects: Vec<PeerId>,
+        /// Subjects to fetch, each with the version the requester holds
+        /// (as in `Pull`).
+        subjects: Vec<RumorId>,
     },
-    /// Reply with the requested full state.
+    /// Reply with the requested state.
     AeReply {
-        /// Full entries for the pulled subjects.
+        /// Current entries for the pulled subjects.
         entries: Vec<PeerState<P>>,
     },
     /// Push anti-entropy (the `AntiEntropyOnly` baseline): the sender's
@@ -147,7 +154,7 @@ impl<P: Payload> Message<P> {
                 Message::AeSummary { entries } | Message::AePush { entries, .. } => {
                     entries.len() * (PEER_SUMMARY_BYTES + BF_SUMMARY_BYTES)
                 }
-                Message::AePull { subjects } => subjects.len() * 4,
+                Message::AePull { subjects } => subjects.len() * RUMOR_ID_BYTES,
                 Message::AeReply { entries } => entries.iter().map(PeerState::wire_bytes).sum(),
             }
     }
@@ -174,7 +181,7 @@ impl<P: Payload> Message<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rumor::{RumorKind, RumorPayload, SizedPayload};
+    use crate::rumor::{DeltaChain, RumorKind, SizedDelta, SizedPayload};
 
     fn rumor(bytes: usize) -> Rumor<SizedPayload> {
         Rumor {
@@ -226,6 +233,60 @@ mod tests {
         };
         let b = m.wire_bytes();
         assert!(b < 100, "{b} bytes");
+    }
+
+    fn held(subject: PeerId) -> RumorId {
+        RumorId {
+            subject,
+            status_version: 1,
+            bloom_version: 3,
+        }
+    }
+
+    #[test]
+    fn pulls_name_the_held_version_at_a_rumor_id_each() {
+        let pull: Message<SizedPayload> = Message::Pull {
+            ids: vec![held(1), held(2)],
+        };
+        let ae_pull: Message<SizedPayload> = Message::AePull {
+            subjects: vec![held(1), held(2)],
+        };
+        assert_eq!(pull.wire_bytes(), 3 + 2 * 16);
+        assert_eq!(ae_pull.wire_bytes(), 3 + 2 * 16);
+    }
+
+    #[test]
+    fn reply_entries_are_priced_by_the_form_they_travel_in() {
+        let state = |payload| PeerState::<SizedPayload> {
+            subject: 1,
+            status_version: 1,
+            bloom_version: 5,
+            payload,
+        };
+        let delta = state(Some(RumorPayload::Delta(DeltaChain {
+            base_bloom_version: 3,
+            steps: vec![
+                SizedDelta {
+                    bytes: 150,
+                    full_bytes: 3000,
+                },
+                SizedDelta {
+                    bytes: 200,
+                    full_bytes: 3100,
+                },
+            ],
+        })));
+        let full = state(Some(RumorPayload::Full(SizedPayload { bytes: 3100 })));
+        let bare = state(None);
+        // rumor id + chain header + steps, exactly what a delta rumor costs.
+        let m = Message::PullReply {
+            entries: vec![delta.clone()],
+        };
+        assert_eq!(m.wire_bytes(), 3 + 16 + 8 + 150 + 200);
+        let m = Message::AeReply {
+            entries: vec![delta, full, bare],
+        };
+        assert_eq!(m.wire_bytes(), 3 + (16 + 8 + 150 + 200) + (48 + 3100) + 48);
     }
 
     #[test]

@@ -19,6 +19,11 @@
 //! a receiver whose base is missing (or whose apply fails) pulls the
 //! full payload via the existing `Pull`/`PullReply` machinery instead —
 //! a broken chain can delay news, never corrupt it.
+//!
+//! Pull and anti-entropy replies carry the same two forms: a pull names
+//! the version the requester holds, and the responder answers with the
+//! chain suffix from that version when it has one (see
+//! [`crate::messages::PeerState`]).
 
 use crate::messages::{PEER_SUMMARY_BYTES, RUMOR_ID_BYTES};
 use crate::PeerId;
@@ -39,8 +44,8 @@ pub trait Payload: Clone + std::fmt::Debug + PartialEq {
     /// `bloom_version`s of this payload.
     type Delta: Clone + std::fmt::Debug + PartialEq + Serialize + DeserializeOwned;
 
-    /// Serialized size in bytes when carried in a rumor or an
-    /// anti-entropy reply.
+    /// Serialized size in bytes when carried in full in a rumor or a
+    /// pull / anti-entropy reply.
     fn wire_bytes(&self) -> usize;
 
     /// Serialized size of one delta step.
@@ -142,16 +147,31 @@ impl<P: Payload> DeltaChain<P> {
     }
 }
 
-/// The content a bloom-update rumor carries on the wire: the subject's
-/// full payload, or a delta chain for receivers that hold a version the
-/// chain covers.
+/// The content a rumor or a pull / anti-entropy reply carries on the
+/// wire: the subject's full payload, or a delta chain for receivers
+/// that hold a version the chain covers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum RumorPayload<P: Payload> {
-    /// Complete payload — joins, fallback when no usable chain exists,
-    /// and anti-entropy (which always ships full state).
+    /// Complete payload — joins, and the fallback when no stored chain
+    /// covers the receiver's version (or the chain would be larger).
     Full(P),
-    /// Delta chain ending at the rumor's `bloom_version`.
+    /// Delta chain ending at the carrying id's `bloom_version`.
     Delta(DeltaChain<P>),
+}
+
+impl<P: Payload> RumorPayload<P> {
+    /// Bytes one directory entry occupies inside a message, in whichever
+    /// form it travels. A full (or empty) entry costs the Table 2
+    /// 48-byte peer summary plus its payload; a delta costs only the
+    /// 16-byte rumor id, the chain header, and the steps — the delta
+    /// wire form the paper's §7.2 bandwidth numbers assume.
+    pub fn entry_wire_bytes(payload: Option<&Self>) -> usize {
+        match payload {
+            None => PEER_SUMMARY_BYTES,
+            Some(RumorPayload::Full(p)) => PEER_SUMMARY_BYTES + p.wire_bytes(),
+            Some(RumorPayload::Delta(chain)) => RUMOR_ID_BYTES + chain.wire_bytes(),
+        }
+    }
 }
 
 /// A rumor in flight.
@@ -168,17 +188,10 @@ pub struct Rumor<P: Payload> {
 }
 
 impl<P: Payload> Rumor<P> {
-    /// Bytes this rumor occupies inside a message. A full (or empty)
-    /// rumor costs the Table 2 48-byte peer summary plus its payload; a
-    /// delta rumor costs only the 16-byte rumor id, the chain header,
-    /// and the steps — the delta wire form the paper's §7.2 bandwidth
-    /// numbers assume.
+    /// Bytes this rumor occupies inside a message (see
+    /// [`RumorPayload::entry_wire_bytes`]).
     pub fn wire_bytes(&self) -> usize {
-        match &self.payload {
-            None => PEER_SUMMARY_BYTES,
-            Some(RumorPayload::Full(p)) => PEER_SUMMARY_BYTES + p.wire_bytes(),
-            Some(RumorPayload::Delta(chain)) => RUMOR_ID_BYTES + chain.wire_bytes(),
-        }
+        RumorPayload::entry_wire_bytes(self.payload.as_ref())
     }
 }
 

@@ -48,15 +48,17 @@ pub struct EngineStats {
     /// Suspect or offline peers that answered again and were marked
     /// back online.
     pub contact_recoveries: u64,
-    /// Bloom-update rumors sent as delta chains.
+    /// Bloom updates (rumors and pull / anti-entropy reply entries)
+    /// sent as delta chains.
     pub deltas_sent: u64,
     /// Delta chains applied to this peer's directory.
     pub deltas_applied: u64,
     /// Delta chains that could not be applied (full filter pulled).
     pub delta_chain_breaks: u64,
-    /// Bloom-update rumors sent full because no usable chain existed.
+    /// Bloom updates and reply entries sent full because no usable
+    /// chain existed.
     pub delta_full_fallbacks: u64,
-    /// Wire bytes saved by delta rumors versus their full form.
+    /// Wire bytes saved by delta payloads versus their full form.
     pub delta_bytes_saved: u64,
 }
 

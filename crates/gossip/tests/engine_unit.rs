@@ -1,6 +1,7 @@
 //! Focused unit tests of `GossipEngine` message handling — exercising
 //! the state machine one message at a time, without a driver loop.
 
+use planetp_gossip::messages::PeerState;
 use planetp_gossip::{
     Algorithm, DeltaChain, DirEntry, Directory, GossipConfig, GossipEngine, Message, Payload,
     PeerStatus, RumorId, RumorKind, RumorPayload, SizedDelta, SizedPayload, SpeedClass,
@@ -20,11 +21,15 @@ fn entry(sv: u64, bv: u32, bytes: u32) -> DirEntry<SizedPayload> {
 }
 
 fn engine_of(n: u32, me: u32) -> Engine {
+    engine_with(n, me, GossipConfig::default())
+}
+
+fn engine_with(n: u32, me: u32, cfg: GossipConfig) -> Engine {
     let mut dir = Directory::new();
     for id in 0..n {
         dir.insert(id, entry(1, 1, 3000));
     }
-    Engine::with_directory(me, SpeedClass::Fast, GossipConfig::default(), 7, dir)
+    Engine::with_directory(me, SpeedClass::Fast, cfg, 7, dir)
 }
 
 fn rumor(subject: u32, sv: u64, bv: u32, bytes: u32) -> planetp_gossip::Rumor<SizedPayload> {
@@ -57,6 +62,14 @@ fn delta_rumor(
             base_bloom_version: base,
             steps,
         })),
+    }
+}
+
+fn rid(subject: u32, status_version: u64, bloom_version: u32) -> RumorId {
+    RumorId {
+        subject,
+        status_version,
+        bloom_version,
     }
 }
 
@@ -214,16 +227,17 @@ fn partial_ae_pull_fetches_missing_news() {
         0,
     );
     assert_eq!(responses.len(), 1);
+    // The pull names what we hold of peer 3, not what was advertised.
     match &responses[0].1 {
-        Msg::Pull { ids } => assert_eq!(ids, &[missing]),
+        Msg::Pull { ids } => assert_eq!(ids, &[rid(3, 1, 1)]),
         other => panic!("expected pull, got {other:?}"),
     }
     // The pull reply teaches us the new state.
-    let state = planetp_gossip::messages::PeerState {
+    let state = PeerState {
         subject: 3,
         status_version: 1,
         bloom_version: 2,
-        payload: Some(SizedPayload { bytes: 3333 }),
+        payload: Some(RumorPayload::Full(SizedPayload { bytes: 3333 })),
     };
     let out = e.handle_message(
         1,
@@ -277,7 +291,7 @@ fn ae_summary_triggers_pull_of_stale_subjects_only() {
     ];
     let responses = a.handle_message(1, Msg::AeSummary { entries }, 0);
     match &responses[0].1 {
-        Msg::AePull { subjects } => assert_eq!(subjects, &[2]),
+        Msg::AePull { subjects } => assert_eq!(subjects, &[rid(2, 1, 1)]),
         other => panic!("expected pull, got {other:?}"),
     }
 }
@@ -288,14 +302,16 @@ fn ae_pull_returns_full_state() {
     let responses = a.handle_message(
         2,
         Msg::AePull {
-            subjects: vec![1, 3],
+            subjects: vec![rid(1, 0, 0), rid(3, 0, 0)],
         },
         0,
     );
     match &responses[0].1 {
         Msg::AeReply { entries } => {
             assert_eq!(entries.len(), 2);
-            assert!(entries.iter().all(|e| e.payload.is_some()));
+            assert!(entries
+                .iter()
+                .all(|e| matches!(e.payload, Some(RumorPayload::Full(_)))));
         }
         other => panic!("expected reply, got {other:?}"),
     }
@@ -417,7 +433,7 @@ fn ae_recent_pulls_only_unknown_ids() {
         0,
     );
     match &r[0].1 {
-        Msg::Pull { ids } => assert_eq!(ids, &[unknown]),
+        Msg::Pull { ids } => assert_eq!(ids, &[rid(2, 1, 1)]),
         other => panic!("expected pull, got {other:?}"),
     }
     // Nothing unknown -> no response at all.
@@ -532,16 +548,17 @@ fn broken_delta_chain_pulls_full_state_and_leaves_directory_untouched() {
         Msg::RumorAck { already_knew, .. } => assert_eq!(already_knew, &[false]),
         other => panic!("expected ack, got {other:?}"),
     }
+    // Held 0/0, whatever we do hold: the reply must be the full filter.
     match &responses[1].1 {
-        Msg::Pull { ids } => assert_eq!(ids, &[id]),
+        Msg::Pull { ids } => assert_eq!(ids, &[rid(2, 0, 0)]),
         other => panic!("expected fallback pull, got {other:?}"),
     }
     // The sender's PullReply completes the recovery.
-    let state = planetp_gossip::messages::PeerState {
+    let state = PeerState {
         subject: 2,
         status_version: 1,
         bloom_version: 4,
-        payload: Some(SizedPayload { bytes: 3400 }),
+        payload: Some(RumorPayload::Full(SizedPayload { bytes: 3400 })),
     };
     e.handle_message(
         1,
@@ -764,6 +781,150 @@ fn chain_length_is_capped_and_base_advances() {
     assert_eq!(e.delta_steps(0, 1, 3, 6), None);
 }
 
+/// One-step delta number `i`, sized so a reply's steps name themselves.
+fn step(i: u32) -> SizedDelta {
+    SizedDelta {
+        bytes: 100 + i,
+        full_bytes: 3000 + i,
+    }
+}
+
+/// Engine 0 of 5 after `k` one-step publishes: bloom_version 1 -> 1 + k,
+/// the step leaving version `v` being `step(v)`.
+fn publisher(cfg: GossipConfig, k: u32) -> Engine {
+    let mut e = engine_with(5, 0, cfg);
+    for v in 1..=k {
+        e.local_update_delta(SizedPayload { bytes: 3000 + v }, step(v));
+    }
+    e
+}
+
+fn reply_entries(responses: Vec<(u32, Msg)>) -> Vec<PeerState<SizedPayload>> {
+    match responses.into_iter().next() {
+        Some((_, Msg::PullReply { entries })) | Some((_, Msg::AeReply { entries })) => entries,
+        other => panic!("expected a reply, got {other:?}"),
+    }
+}
+
+#[test]
+fn pull_from_inside_the_chain_gets_exactly_the_missing_steps() {
+    let mut s = publisher(GossipConfig::default(), 3); // chain 1 -> 4
+    let missing = Some(RumorPayload::Delta(DeltaChain {
+        base_bloom_version: 2,
+        steps: vec![step(2), step(3)],
+    }));
+    let pulled = reply_entries(s.handle_message(
+        1,
+        Msg::Pull {
+            ids: vec![rid(0, 1, 2)],
+        },
+        0,
+    ));
+    assert_eq!(pulled.len(), 1);
+    assert_eq!((pulled[0].status_version, pulled[0].bloom_version), (1, 4));
+    assert_eq!(pulled[0].payload, missing);
+    // Anti-entropy asks the same question and gets the same answer.
+    let pulled = reply_entries(s.handle_message(
+        1,
+        Msg::AePull {
+            subjects: vec![rid(0, 1, 2)],
+        },
+        0,
+    ));
+    assert_eq!(pulled[0].payload, missing);
+    // Replies are accounted like rumors.
+    let stats = s.stats();
+    assert_eq!(stats.deltas_sent, 2);
+    assert_eq!(stats.delta_full_fallbacks, 0);
+    assert_eq!(
+        stats.delta_bytes_saved,
+        2 * (48 + 3003 - (16 + 8 + 102 + 103)) as u64
+    );
+}
+
+#[test]
+fn pull_the_chain_cannot_serve_gets_the_full_filter() {
+    let cfg = GossipConfig {
+        max_delta_chain: 2,
+        ..GossipConfig::default()
+    };
+    let mut s = publisher(cfg, 4); // bv 5, chain trimmed to 3 -> 5
+    let held = vec![
+        rid(0, 0, 0), // holds nothing (a joiner, or a broken chain)
+        rid(0, 2, 4), // another incarnation
+        rid(0, 1, 2), // older than the chain base
+        rid(0, 1, 5), // nothing newer to send as steps
+    ];
+    let n = held.len() as u64;
+    let pulled = reply_entries(s.handle_message(1, Msg::Pull { ids: held }, 0));
+    for e in &pulled {
+        assert_eq!(
+            e.payload,
+            Some(RumorPayload::Full(SizedPayload { bytes: 3004 }))
+        );
+    }
+    assert_eq!(s.stats().deltas_sent, 0);
+    assert_eq!(s.stats().delta_full_fallbacks, n);
+    // The chain base itself is still served as steps.
+    let pulled = reply_entries(s.handle_message(
+        1,
+        Msg::Pull {
+            ids: vec![rid(0, 1, 3)],
+        },
+        0,
+    ));
+    assert!(matches!(
+        &pulled[0].payload,
+        Some(RumorPayload::Delta(c)) if c.base_bloom_version == 3 && c.steps.len() == 2
+    ));
+}
+
+#[test]
+fn pull_learner_keeps_the_chain_and_forwards_a_delta() {
+    let mut s = publisher(GossipConfig::default(), 1);
+    let mut b = engine_of(5, 1);
+    // B hears the rumor first (chain 1 -> 2), then learns 2 -> 4 by pull.
+    b.handle_message(0, tick_until_rumor(&mut s), 0);
+    s.local_update_delta(SizedPayload { bytes: 3002 }, step(2));
+    s.local_update_delta(SizedPayload { bytes: 3003 }, step(3));
+    let pull = b.handle_message(
+        0,
+        Msg::AeRecent {
+            ids: vec![rid(0, 1, 4)],
+        },
+        0,
+    );
+    assert_eq!(
+        pull[0].1,
+        Msg::Pull {
+            ids: vec![rid(0, 1, 2)]
+        }
+    );
+    let reply = s.handle_message(1, pull[0].1.clone(), 0);
+    assert!(b.handle_message(0, reply[0].1.clone(), 0).is_empty());
+    assert_eq!(
+        b.directory().get(0).unwrap().payload,
+        Some(SizedPayload { bytes: 3003 })
+    );
+    assert_eq!(b.stats().rumors_learned_partial_ae, 1);
+    // The pulled steps extended the chain the rumor left, so B serves a
+    // live query mirror (or a straggler) from version 1 on...
+    assert_eq!(
+        b.delta_steps(0, 1, 1, 4),
+        Some(vec![step(1), step(2), step(3)])
+    );
+    // ...and what it forwards is the chain, not the filter.
+    let Msg::Rumor { rumors } = tick_until_rumor(&mut b) else {
+        unreachable!()
+    };
+    assert_eq!(rumors[0].id, rid(0, 1, 4));
+    assert!(matches!(
+        &rumors[0].payload,
+        Some(RumorPayload::Delta(c)) if c.base_bloom_version == 1 && c.steps.len() == 3
+    ));
+    assert_eq!(b.stats().delta_full_fallbacks, 0);
+}
+
 #[test]
 fn joiner_first_action_is_anti_entropy_to_bootstrap() {
     let mut j = Engine::new(
@@ -786,7 +947,8 @@ fn joiner_first_action_is_anti_entropy_to_bootstrap() {
 }
 
 /// A toy filter whose deltas are XOR masks, like `BloomDiff`: applying
-/// a step onto the wrong base silently yields wrong bits.
+/// a step onto the wrong base silently yields wrong bits. A zero mask
+/// (no real diff is one) stands for a corrupt step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct XorBits(u64);
 
@@ -799,8 +961,27 @@ impl Payload for XorBits {
         100
     }
     fn apply_delta(&self, delta: &u64) -> Option<Self> {
-        Some(XorBits(self.0 ^ delta))
+        (*delta != 0).then_some(XorBits(self.0 ^ delta))
     }
+}
+
+/// Peer `me` of a stable `n`-peer community, every filter empty at
+/// version (1, 1).
+fn xor_engine(me: u32, n: u32, cfg: GossipConfig, seed: u64) -> GossipEngine<XorBits> {
+    let mut dir = Directory::new();
+    for id in 0..n {
+        dir.insert(
+            id,
+            DirEntry {
+                status_version: 1,
+                bloom_version: 1,
+                payload: Some(XorBits(0)),
+                status: PeerStatus::Online,
+                speed: SpeedClass::Fast,
+            },
+        );
+    }
+    GossipEngine::with_directory(me, SpeedClass::Fast, cfg, seed, dir)
 }
 
 #[test]
@@ -808,22 +989,7 @@ fn a_rumor_id_names_the_payload_it_carries_after_anti_entropy() {
     const S: u32 = 0;
     const B: u32 = 1;
     const C: u32 = 2;
-    let engine = |me: u32| {
-        let mut dir = Directory::new();
-        for id in [S, B, C] {
-            dir.insert(
-                id,
-                DirEntry {
-                    status_version: 1,
-                    bloom_version: 1,
-                    payload: Some(XorBits(0)),
-                    status: PeerStatus::Online,
-                    speed: SpeedClass::Fast,
-                },
-            );
-        }
-        GossipEngine::with_directory(me, SpeedClass::Fast, GossipConfig::default(), 7, dir)
-    };
+    let engine = |me: u32| xor_engine(me, 3, GossipConfig::default(), 7);
     let (mut s, mut b, mut c) = (engine(S), engine(B), engine(C));
     // Each publish sets one more bit: v2 = 0b001, v3 = 0b011, v4 = 0b111.
     let mut bits = 0;
@@ -840,12 +1006,22 @@ fn a_rumor_id_names_the_payload_it_carries_after_anti_entropy() {
     // 2. S publishes v3 and v4.
     publish(&mut s, 0b010);
     publish(&mut s, 0b100);
-    // 3. B catches up to v4 by full anti-entropy with S.
+    // 3. B catches up to v4 by full anti-entropy with S — which, B
+    //    holding v2, is a pull of the two steps it lacks.
     let mut to_b = s.handle_message(B, Message::AeRequest { digest: 0 }, 0);
     let mut to_s = b.handle_message(S, to_b.pop().unwrap().1, 0);
     to_b = s.handle_message(B, to_s.pop().unwrap().1, 0);
     let reply = to_b.pop().unwrap().1;
-    assert!(matches!(reply, Message::AeReply { .. }));
+    match &reply {
+        Message::AeReply { entries } => assert_eq!(
+            entries[0].payload,
+            Some(RumorPayload::Delta(DeltaChain {
+                base_bloom_version: 2,
+                steps: vec![0b010, 0b100],
+            }))
+        ),
+        other => panic!("expected AeReply, got {other:?}"),
+    }
     b.handle_message(S, reply, 0);
     assert_eq!(b.directory().get(S).unwrap().payload, Some(XorBits(0b111)));
     // 4. B's next rumor round reaches C, still at v1. Whatever id it
@@ -865,4 +1041,237 @@ fn a_rumor_id_names_the_payload_it_carries_after_anti_entropy() {
         Some(XorBits(0b111)),
         "C agrees on the version, so it must hold that version's bits"
     );
+}
+
+#[test]
+fn corrupt_pulled_step_breaks_the_chain_and_the_full_re_pull_completes() {
+    const S: u32 = 0;
+    let mut s = xor_engine(S, 3, GossipConfig::default(), 7);
+    let mut b = xor_engine(1, 3, GossipConfig::default(), 8);
+    s.local_update_delta(XorBits(0b01), 0b01);
+    s.local_update_delta(XorBits(0b11), 0b10);
+    // A reply whose second step is corrupt reaches B.
+    let bad = Message::PullReply {
+        entries: vec![PeerState {
+            subject: S,
+            status_version: 1,
+            bloom_version: 3,
+            payload: Some(RumorPayload::Delta(DeltaChain {
+                base_bloom_version: 1,
+                steps: vec![0b01, 0],
+            })),
+        }],
+    };
+    let again = b.handle_message(S, bad, 0);
+    // Nothing moved — not even by the step that did apply...
+    let at_b = b.directory().get(S).unwrap();
+    assert_eq!((at_b.bloom_version, at_b.payload), (1, Some(XorBits(0))));
+    assert_eq!(b.delta_steps(S, 1, 1, 2), None);
+    assert_eq!(b.stats().delta_chain_breaks, 1);
+    assert_eq!(b.stats().rumors_learned_partial_ae, 0);
+    // ...and B asks again as a peer that holds nothing,
+    assert_eq!(again.len(), 1);
+    assert_eq!(
+        again[0].1,
+        Message::Pull {
+            ids: vec![rid(S, 0, 0)]
+        }
+    );
+    // which S can only answer with the filter itself.
+    let full = s.handle_message(1, again[0].1.clone(), 0);
+    match &full[0].1 {
+        Message::PullReply { entries } => {
+            assert_eq!(entries[0].payload, Some(RumorPayload::Full(XorBits(0b11))))
+        }
+        other => panic!("expected PullReply, got {other:?}"),
+    }
+    assert!(b.handle_message(S, full[0].1.clone(), 0).is_empty());
+    let at_b = b.directory().get(S).unwrap();
+    assert_eq!((at_b.bloom_version, at_b.payload), (3, Some(XorBits(0b11))));
+    assert_eq!(b.stats().rumors_learned_partial_ae, 1);
+    // The same holds on the anti-entropy path.
+    let mut c = xor_engine(2, 3, GossipConfig::default(), 9);
+    let bad = Message::AeReply {
+        entries: vec![PeerState {
+            subject: S,
+            status_version: 1,
+            bloom_version: 2,
+            payload: Some(RumorPayload::Delta(DeltaChain {
+                base_bloom_version: 1,
+                steps: vec![0],
+            })),
+        }],
+    };
+    let again = c.handle_message(S, bad, 0);
+    assert_eq!(
+        again[0].1,
+        Message::AePull {
+            subjects: vec![rid(S, 0, 0)]
+        }
+    );
+    assert_eq!(c.directory().get(S).unwrap().bloom_version, 1);
+}
+
+/// splitmix64 — a seeded stream that does not depend on which `rand`
+/// the build resolved.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Delta payloads a message carries, as (in rumors, in replies).
+fn deltas_in(msg: &Message<XorBits>) -> (usize, usize) {
+    let is_delta = |p: &Option<RumorPayload<XorBits>>| matches!(p, Some(RumorPayload::Delta(_)));
+    match msg {
+        Message::Rumor { rumors } => (rumors.iter().filter(|r| is_delta(&r.payload)).count(), 0),
+        Message::PullReply { entries } | Message::AeReply { entries } => {
+            (0, entries.iter().filter(|e| is_delta(&e.payload)).count())
+        }
+        _ => (0, 0),
+    }
+}
+
+/// Five engines under a seeded schedule of publishes, rejoins, ticks,
+/// out-of-order deliveries and drops, then left to settle. Throughout,
+/// an engine that holds version `(sv, bv)` of a subject must hold the
+/// bits the subject published as that version — so two engines at one
+/// version agree, and equal digests mean equal filters. Returns the
+/// delta payloads seen on the wire, as (in rumors, in replies).
+fn random_schedule(seed: u64, delta_updates: bool) -> (usize, usize) {
+    use std::collections::HashMap;
+    const N: u32 = 5;
+    let cfg = GossipConfig {
+        delta_updates,
+        max_delta_chain: 3,
+        ..GossipConfig::default()
+    };
+    let mut engines: Vec<GossipEngine<XorBits>> = (0..N)
+        .map(|me| xor_engine(me, N, cfg, seed ^ u64::from(me)))
+        .collect();
+    let mut published: HashMap<(u32, u64, u32), u64> = (0..N).map(|id| ((id, 1, 1), 0)).collect();
+    let mut wire: Vec<(u32, u32, Message<XorBits>)> = Vec::new();
+    let mut seen = (0, 0);
+    let mut rng = Mix(seed);
+    let mut now = 0;
+
+    let check = |engines: &[GossipEngine<XorBits>], published: &HashMap<(u32, u64, u32), u64>| {
+        for e in engines {
+            for (subject, entry) in e.directory().iter() {
+                let version = (subject, entry.status_version, entry.bloom_version);
+                assert_eq!(
+                    entry.payload.map(|p| p.0),
+                    published.get(&version).copied(),
+                    "seed {seed}: engine {} holds other bits than {version:?} was published with",
+                    e.id()
+                );
+            }
+        }
+    };
+    let mut send = |wire: &mut Vec<_>, from: u32, to: u32, msg: Message<XorBits>| {
+        let (rumors, replies) = deltas_in(&msg);
+        seen = (seen.0 + rumors, seen.1 + replies);
+        wire.push((from, to, msg));
+    };
+
+    for _ in 0..4000 {
+        let who = rng.below(N as usize);
+        match rng.below(12) {
+            0 | 1 => {
+                let own = engines[who].directory().get(who as u32).unwrap();
+                let (sv, bv, bits) = (
+                    own.status_version,
+                    own.bloom_version,
+                    own.payload.unwrap().0,
+                );
+                let mask = 1u64 << rng.below(64);
+                if rng.below(10) == 0 {
+                    engines[who].local_rejoin(Some(XorBits(bits ^ mask)));
+                    published.insert((who as u32, sv + 1, bv + 1), bits ^ mask);
+                } else {
+                    engines[who].local_update_delta(XorBits(bits ^ mask), mask);
+                    published.insert((who as u32, sv, bv + 1), bits ^ mask);
+                }
+            }
+            2..=5 => {
+                now += 30_000;
+                if let Some(out) = engines[who].tick(now) {
+                    send(&mut wire, who as u32, out.target, out.message);
+                }
+            }
+            6..=10 if !wire.is_empty() => {
+                let (from, to, msg) = wire.swap_remove(rng.below(wire.len()));
+                for (next, m) in engines[to as usize].handle_message(from, msg, now) {
+                    send(&mut wire, to, next, m);
+                }
+            }
+            _ if !wire.is_empty() => {
+                wire.swap_remove(rng.below(wire.len()));
+            }
+            _ => {}
+        }
+        check(&engines, &published);
+    }
+
+    // Settle: no more publishes or losses; everything sent is delivered.
+    let agree = |engines: &[GossipEngine<XorBits>]| {
+        let d = engines[0].directory().digest();
+        engines.iter().all(|e| e.directory().digest() == d)
+    };
+    for _ in 0..500 {
+        if wire.is_empty() && agree(&engines) {
+            break;
+        }
+        now += 30_000;
+        for who in 0..N {
+            if let Some(out) = engines[who as usize].tick(now) {
+                send(&mut wire, who, out.target, out.message);
+            }
+        }
+        while let Some((from, to, msg)) = wire.pop() {
+            for (next, m) in engines[to as usize].handle_message(from, msg, now) {
+                send(&mut wire, to, next, m);
+            }
+            check(&engines, &published);
+        }
+    }
+    assert!(agree(&engines), "seed {seed}: digests never agreed");
+    for e in &engines {
+        for id in 0..N {
+            let own = engines[id as usize].directory().get(id).unwrap().payload;
+            assert_eq!(e.directory().get(id).unwrap().payload, own, "seed {seed}");
+        }
+    }
+    seen
+}
+
+#[test]
+fn one_version_means_one_filter_under_a_random_schedule() {
+    let (mut in_rumors, mut in_replies) = (0, 0);
+    for seed in 1..=12 {
+        let seen = random_schedule(seed, true);
+        in_rumors += seen.0;
+        in_replies += seen.1;
+    }
+    assert!(
+        in_rumors > 0 && in_replies > 0,
+        "the schedules never took the delta paths ({in_rumors}, {in_replies})"
+    );
+}
+
+#[test]
+fn delta_updates_off_puts_no_delta_in_any_message() {
+    for seed in 1..=3 {
+        assert_eq!(random_schedule(seed, false), (0, 0), "seed {seed}");
+    }
 }

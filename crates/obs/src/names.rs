@@ -38,18 +38,21 @@ pub const GOSSIP_BYTES_OUT: &str = "gossip.bytes_out";
 /// Family prefix: gossip bytes received (Table 2 wire model), by class.
 pub const GOSSIP_BYTES_IN: &str = "gossip.bytes_in";
 
-/// Bloom-update rumors sent as delta chains instead of full filters.
+/// Bloom updates — rumors and pull / anti-entropy reply entries —
+/// sent as delta chains instead of full filters.
 pub const GOSSIP_DELTA_SENT: &str = "gossip.delta.sent";
 /// Delta chains successfully applied to the receiver's directory entry.
 pub const GOSSIP_DELTA_APPLIED: &str = "gossip.delta.applied";
-/// Delta chains that could not be applied (missed base, parameter
-/// mismatch, corrupt payload) — each triggers a full-filter pull.
+/// Delta chains, from a rumor or a reply, that could not be applied
+/// (missed base, parameter mismatch, corrupt payload) — each triggers
+/// a full-filter pull.
 pub const GOSSIP_DELTA_CHAIN_BREAKS: &str = "gossip.delta.chain_breaks";
-/// Bloom-update rumors sent with the full filter because no usable
-/// delta chain existed (or the chain outgrew the full filter).
+/// Bloom updates and reply entries sent with the full filter because
+/// no stored chain covered the receiver's version (or the chain
+/// outgrew the full filter). Join rumors are not counted.
 pub const GOSSIP_DELTA_FULL_FALLBACKS: &str = "gossip.delta.full_fallbacks";
 /// Wire bytes saved by sending delta chains instead of full filters
-/// (full rumor size minus delta rumor size, summed at send time).
+/// (full entry size minus delta entry size, summed at send time).
 pub const GOSSIP_DELTA_BYTES_SAVED: &str = "gossip.delta.bytes_saved";
 
 /// Bytes written to the transport (live: serialized frames including
