@@ -262,10 +262,7 @@ impl AdmissionGate {
             };
         }
         let shed = |gate: &Self| Admission::Shed {
-            retry_after_ms: {
-                let base = gate.config.retry_after_ms.max(1);
-                base
-            },
+            retry_after_ms: gate.config.retry_after_ms.max(1),
         };
         let mut inner = self.inner.lock();
         let (result, evicted) = inner.core.enqueue(class, self.now_ms());

@@ -700,14 +700,11 @@ mod tests {
         std::thread::spawn(move || {
             while let Ok((mut s, _)) = listener.accept() {
                 let _ = s.set_read_timeout(Some(Duration::from_secs(5)));
-                loop {
-                    match wire::read_any_frame_meta_sized::<Vec<u32>>(&mut s) {
-                        Ok(Some((Frame::Correlated(id, v), _, _))) => {
-                            if wire::write_correlated_frame(&mut s, id, &v).is_err() {
-                                break;
-                            }
-                        }
-                        _ => break,
+                while let Ok(Some((Frame::Correlated(id, v), _, _))) =
+                    wire::read_any_frame_meta_sized::<Vec<u32>>(&mut s)
+                {
+                    if wire::write_correlated_frame(&mut s, id, &v).is_err() {
+                        break;
                     }
                 }
             }

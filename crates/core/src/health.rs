@@ -384,7 +384,7 @@ mod tests {
         h.record_failure(9, 0); // now offline; backoff from 500ms base
         assert!(h.should_skip(9, 1));
         let retry_at = h.get(9).unwrap().retry_at_ms;
-        assert!(retry_at >= 250 && retry_at <= 500, "retry_at={retry_at}");
+        assert!((250..=500).contains(&retry_at), "retry_at={retry_at}");
         assert!(!h.should_skip(9, retry_at), "probe allowed after backoff");
         // Suspects are never skipped.
         let mut h = table();

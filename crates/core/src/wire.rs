@@ -328,6 +328,9 @@ impl<T> Frame<T> {
 /// frame boundary; a connection that dies inside the header or the body
 /// is `UnexpectedEof`; a header from no protocol we speak, or a body
 /// that does not parse, is `InvalidData`.
+// `crates/perf/src/shadow.rs` pins this return type, so it cannot become
+// a named struct until that pin is lifted.
+#[allow(clippy::type_complexity)]
 pub fn read_any_frame_meta_sized<T: DeserializeOwned>(
     r: &mut impl Read,
 ) -> io::Result<Option<(Frame<T>, Option<FrameMeta>, usize)>> {

@@ -378,9 +378,20 @@ fn warm_cache_skips_probes_until_a_republish() {
     // Peer 2 republishes: its gossiped version advances, so the next
     // query that sees the new directory state re-probes exactly that
     // peer's column — terms stay cached, misses stay flat.
+    let stale_digest = nodes[0].directory_digest();
     let fresh_doc = nodes[2]
         .publish("<doc><body>cached subject freshly republished</body></doc>")
         .unwrap();
+    // Peer 2 was already a candidate for these terms, so the new
+    // document is searchable at once — before gossip has delivered the
+    // version bump this test is about. Wait for the bump itself.
+    assert!(
+        wait_for(
+            || nodes[0].directory_digest() != stale_digest,
+            Duration::from_secs(30),
+        ),
+        "the republish never reached the searcher's directory"
+    );
     assert!(
         wait_for(
             || {

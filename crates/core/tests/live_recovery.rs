@@ -135,15 +135,11 @@ fn community_survives_crash_restart_cycles() {
     .expect("founder");
     let bootstrap = (0u32, founder.addr().to_string());
     let mut nodes: Vec<Option<LiveNode>> = vec![Some(founder)];
-    for id in 1..COMMUNITY {
+    for (id, injector) in injectors.iter().enumerate().skip(1) {
         nodes.push(Some(
             LiveNode::start(
                 id as u32,
-                durable_config(
-                    900 + id as u64,
-                    &data_dir(id),
-                    Some(Arc::clone(&injectors[id])),
-                ),
+                durable_config(900 + id as u64, &data_dir(id), Some(Arc::clone(injector))),
                 Some(bootstrap.clone()),
             )
             .expect("member"),

@@ -168,9 +168,20 @@ fn six_peer_community_recovers_offline_content_via_replicas() {
         "exhaustive search lost the crashed peer's document"
     );
 
-    // Untouched content is unaffected.
-    let r = nodes[3].search_ranked("stable content", 5).unwrap();
-    assert!(r.hits.iter().any(|h| h.peer == 1));
+    // Untouched content is unaffected: node 1 is alive, so its document
+    // is reported from its home even where a replica holder out-ranks
+    // it. (Node 3's first search may still run before node 1's filter
+    // has reached it — hence the wait.)
+    assert!(
+        wait_for(
+            || {
+                let r = nodes[3].search_ranked("stable content", 5).unwrap();
+                r.hits.iter().any(|h| h.peer == 1)
+            },
+            Duration::from_secs(30),
+        ),
+        "a live home's document was not reported from its home"
+    );
 }
 
 /// Broker abrupt-leave interplay: a brokered snippet dies with its

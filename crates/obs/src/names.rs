@@ -64,6 +64,10 @@ pub const NET_BYTES_IN: &str = "net.bytes_in";
 pub const NET_FRAMES_OUT: &str = "net.frames_out";
 /// Frames read from the transport.
 pub const NET_FRAMES_IN: &str = "net.frames_in";
+/// Inbound frames that failed to parse or arrived truncated.
+pub const NET_MALFORMED_FRAMES: &str = "net.malformed_frames";
+/// Failed attempts to write a reply on an accepted connection.
+pub const NET_REPLY_FAILURES: &str = "net.reply_failures";
 
 /// Histogram: wall-clock latency of one RPC attempt (ms).
 pub const RPC_LATENCY_MS: &str = "rpc.latency_ms";
@@ -71,8 +75,16 @@ pub const RPC_LATENCY_MS: &str = "rpc.latency_ms";
 pub const RPC_RETRIES: &str = "rpc.retries";
 /// RPCs that exhausted their retry budget.
 pub const RPC_FAILURES: &str = "rpc.failures";
+/// RPC replies whose type did not match the request.
+pub const RPC_UNEXPECTED_REPLIES: &str = "rpc.unexpected_replies";
 /// Histogram: wall-clock duration of one full gossip exchange (ms).
 pub const GOSSIP_EXCHANGE_MS: &str = "gossip.exchange_ms";
+/// Gossip exchanges retried after a transport error.
+pub const GOSSIP_RETRIES: &str = "gossip.retries";
+/// Gossip exchanges that exhausted their retry budget.
+pub const GOSSIP_FAILURES: &str = "gossip.failures";
+/// Gauge: peers in the local directory copy (refreshed per snapshot).
+pub const GOSSIP_DIRECTORY_SIZE: &str = "gossip.directory_size";
 
 /// Peers newly marked Suspect.
 pub const HEALTH_SUSPECTS: &str = "health.suspects";
@@ -80,6 +92,8 @@ pub const HEALTH_SUSPECTS: &str = "health.suspects";
 pub const HEALTH_OFFLINE: &str = "health.offline";
 /// Peers that recovered to Healthy.
 pub const HEALTH_RECOVERIES: &str = "health.recoveries";
+/// Contacts skipped because the peer was offline and in backoff.
+pub const HEALTH_CONTACTS_SKIPPED: &str = "health.contacts_skipped";
 
 /// Ranked/exhaustive searches issued.
 pub const SEARCH_QUERIES: &str = "search.queries";
@@ -91,6 +105,8 @@ pub const SEARCH_GROUPS: &str = "search.groups";
 pub const SEARCH_STOPPED_EARLY: &str = "search.stopped_early";
 /// Searches that ran the full candidate list.
 pub const SEARCH_EXHAUSTED: &str = "search.exhausted";
+/// Searches that returned with incomplete coverage.
+pub const SEARCH_DEGRADED: &str = "search.degraded";
 /// Histogram: per-group dispatch duration (ms).
 pub const SEARCH_GROUP_MS: &str = "search.group_ms";
 /// Histogram: wall-clock of one parallel group fan-out (ms).
