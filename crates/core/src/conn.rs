@@ -5,27 +5,20 @@
 //! evaluation targets (and the million-user north star beyond it) the
 //! wire setup cost dominates the per-query budget once Bloofi pruning
 //! has cut the probe cost. This module keeps connections alive instead:
-//!
-//! * **Exclusive keep-alive streams** ([`ConnPool::checkout`] /
-//!   [`ConnPool::check_in`]) for conversational exchanges — gossip
-//!   alternates whole batches in strict order, and a conversation ends
-//!   at a clean frame boundary, so the stream can be returned to the
-//!   pool and reused by the next round. At most
-//!   [`ConnConfig::max_idle_per_peer`] idle streams are kept per peer;
-//!   older ones are dropped on check-in and idle ones are reaped after
-//!   [`ConnConfig::idle_timeout`].
-//! * **One multiplexed stream per peer** ([`ConnPool::rpc`]) for
-//!   request/reply RPCs. Requests carry correlation ids
-//!   ([`crate::wire::write_correlated_frame`]) so the concurrent
-//!   fan-out RPCs of a grouped search share a single stream and replies
-//!   may arrive in any order. There is no dedicated reader thread:
-//!   whichever waiter gets there first takes a short *reader lease*,
-//!   polls the socket, and delivers whatever frame arrives — to itself
-//!   or to whichever other waiter it belongs to.
+//! **one multiplexed stream per peer** ([`ConnPool::rpc`]) carries
+//! everything a node says to that peer — search RPCs and every step of
+//! a gossip conversation alike, each a request frame and its reply.
+//! Requests carry correlation ids
+//! ([`crate::wire::write_correlated_frame`]) so the concurrent fan-out
+//! RPCs of a grouped search share a single stream and replies may
+//! arrive in any order. There is no dedicated reader thread: whichever
+//! waiter gets there first takes a short *reader lease*, polls the
+//! socket, and delivers whatever frame arrives — to itself or to
+//! whichever other waiter it belongs to.
 //!
 //! **Staleness.** A keep-alive stream can die while idle (the peer
-//! restarted, reaped its end, or a middlebox dropped the mapping). That
-//! says nothing about the peer's liveness, so a connection-level
+//! restarted, idled its end out, or a middlebox dropped the mapping).
+//! That says nothing about the peer's liveness, so a connection-level
 //! failure ([`is_connection_level`]) on a stream that worked before is
 //! absorbed *inside* the pool: one transparent reconnect, counted in
 //! `conn.stale_reconnects`, never charged against the caller's retry
@@ -54,13 +47,11 @@ const MUX_POLL: Duration = Duration::from_millis(10);
 #[derive(Debug, Clone, Copy)]
 pub struct ConnConfig {
     /// Pool connections at all. `false` restores the original
-    /// connect-per-contact behaviour (every RPC and gossip exchange
-    /// opens and drops its own stream) — the bench baseline.
+    /// connect-per-contact behaviour (every request opens its own
+    /// stream and hangs up after the reply) — the bench baseline.
     pub enabled: bool,
-    /// Idle exclusive (gossip) streams kept per peer; surplus check-ins
-    /// are dropped.
-    pub max_idle_per_peer: usize,
-    /// Idle exclusive streams older than this are reaped.
+    /// The server side's idle horizon: an accepted connection that
+    /// stays silent for twice this long is closed.
     pub idle_timeout: Duration,
     /// Concurrent correlated RPCs allowed on one multiplexed stream;
     /// callers beyond the cap fail fast (`WouldBlock`) instead of
@@ -78,7 +69,6 @@ impl Default for ConnConfig {
     fn default() -> Self {
         Self {
             enabled: true,
-            max_idle_per_peer: 2,
             idle_timeout: Duration::from_secs(30),
             max_inflight_per_conn: 64,
             nodelay: true,
@@ -95,8 +85,6 @@ pub struct ConnMetrics {
     pub opened: Counter,
     /// Contacts served off an established stream.
     pub reused: Counter,
-    /// Idle streams retired by the reaper.
-    pub reaped: Counter,
     /// Stale streams transparently replaced.
     pub stale_reconnects: Counter,
     /// Correlated replies with no waiting request.
@@ -112,7 +100,6 @@ impl ConnMetrics {
         Self {
             opened: registry.counter(names::CONN_OPENED),
             reused: registry.counter(names::CONN_REUSED),
-            reaped: registry.counter(names::CONN_REAPED),
             stale_reconnects: registry.counter(names::CONN_STALE_RECONNECTS),
             unknown_corr: registry.counter(names::CONN_UNKNOWN_CORR),
             inflight: registry.gauge(names::CONN_INFLIGHT),
@@ -124,7 +111,6 @@ impl ConnMetrics {
         Self {
             opened: Counter::detached(),
             reused: Counter::detached(),
-            reaped: Counter::detached(),
             stale_reconnects: Counter::detached(),
             unknown_corr: Counter::detached(),
             inflight: Gauge::detached(),
@@ -191,7 +177,7 @@ struct MuxConn<T> {
     metrics: ConnMetrics,
 }
 
-impl<T: Serialize + DeserializeOwned> MuxConn<T> {
+impl<T: DeserializeOwned> MuxConn<T> {
     fn new(
         stream: TcpStream,
         writer: TcpStream,
@@ -246,9 +232,9 @@ impl<T: Serialize + DeserializeOwned> MuxConn<T> {
     /// frame's metadata header (deadline budget + priority class) for
     /// the server's admission gate. Returns the reply with its
     /// request/reply wire sizes.
-    fn rpc(
+    fn rpc<Q: Serialize + ?Sized>(
         &self,
-        request: &T,
+        request: &Q,
         read_timeout: Duration,
         max_inflight: usize,
         meta: Option<FrameMeta>,
@@ -282,10 +268,10 @@ impl<T: Serialize + DeserializeOwned> MuxConn<T> {
         res
     }
 
-    fn rpc_inner(
+    fn rpc_inner<Q: Serialize + ?Sized>(
         &self,
         corr: u64,
-        request: &T,
+        request: &Q,
         read_timeout: Duration,
         meta: Option<FrameMeta>,
     ) -> io::Result<(T, usize, usize)> {
@@ -413,39 +399,17 @@ impl<T: Serialize + DeserializeOwned> MuxConn<T> {
     }
 }
 
-/// Per-peer pooled connections.
-struct PeerConns<T> {
-    /// The shared multiplexed RPC stream, if one is established.
-    mux: Option<Arc<MuxConn<T>>>,
-    /// Idle exclusive streams awaiting the next conversational
-    /// checkout, most recently used last.
-    idle: Vec<IdleConn>,
-}
-
-impl<T> Default for PeerConns<T> {
-    fn default() -> Self {
-        Self {
-            mux: None,
-            idle: Vec::new(),
-        }
-    }
-}
-
-struct IdleConn {
-    stream: TcpStream,
-    since: Instant,
-}
-
 /// The per-peer connection pool. See the [module docs](self).
 pub struct ConnPool<T> {
     config: ConnConfig,
     io_timeout: Duration,
     faults: Option<Arc<FaultInjector>>,
     metrics: ConnMetrics,
-    peers: Mutex<HashMap<String, PeerConns<T>>>,
+    /// The one multiplexed stream per peer address, once established.
+    peers: Mutex<HashMap<String, Arc<MuxConn<T>>>>,
 }
 
-impl<T: Serialize + DeserializeOwned> ConnPool<T> {
+impl<T: DeserializeOwned> ConnPool<T> {
     /// A pool connecting with `io_timeout` read/write deadlines,
     /// running outbound connects through `faults` when present.
     pub fn new(
@@ -483,63 +447,17 @@ impl<T: Serialize + DeserializeOwned> ConnPool<T> {
         Ok(stream)
     }
 
-    /// Check out an exclusive stream for a conversational exchange
-    /// (gossip alternates bare frames in strict order, so the stream
-    /// cannot be shared while the conversation runs). Returns the
-    /// stream plus whether it was reused from the pool; return it with
-    /// [`Self::check_in`] after a clean exchange, drop it on failure.
-    pub fn checkout(&self, addr: &str) -> io::Result<(TcpStream, bool)> {
-        let reusable = {
-            let mut peers = self.peers.lock();
-            peers.get_mut(addr).and_then(|p| p.idle.pop())
-        };
-        if let Some(idle) = reusable {
-            self.metrics.reused.inc();
-            return Ok((idle.stream, true));
-        }
-        Ok((self.connect_raw(addr)?, false))
-    }
-
-    /// Open a fresh exclusive stream, bypassing the pool (the
-    /// transparent stale-reconnect path after a reused checkout
-    /// failed).
-    pub fn checkout_fresh(&self, addr: &str) -> io::Result<TcpStream> {
-        self.connect_raw(addr)
-    }
-
-    /// Return a checked-out stream after a clean exchange. Dropped
-    /// instead when the peer already holds `max_idle_per_peer` idle
-    /// streams.
-    pub fn check_in(&self, addr: &str, stream: TcpStream) {
-        let mut peers = self.peers.lock();
-        let p = peers.entry(addr.to_string()).or_default();
-        if p.idle.len() < self.config.max_idle_per_peer {
-            p.idle.push(IdleConn {
-                stream,
-                since: Instant::now(),
-            });
-        }
-    }
-
-    /// Count a stale-stream replacement (exclusive-stream callers do
-    /// the reconnect themselves via [`Self::checkout_fresh`]).
-    pub fn note_stale_reconnect(&self) {
-        self.metrics.stale_reconnects.inc();
-    }
-
     /// The shared multiplexed stream for `addr`, creating or replacing
     /// a broken one. Second return: whether the stream pre-existed
     /// this call.
     fn mux(&self, addr: &str) -> io::Result<(Arc<MuxConn<T>>, bool)> {
         {
             let mut peers = self.peers.lock();
-            if let Some(p) = peers.get_mut(addr) {
-                if let Some(m) = &p.mux {
-                    if !m.is_broken() {
-                        return Ok((Arc::clone(m), true));
-                    }
-                    p.mux = None;
+            if let Some(m) = peers.get(addr) {
+                if !m.is_broken() {
+                    return Ok((Arc::clone(m), true));
                 }
+                peers.remove(addr);
             }
         }
         // Slow path: connect without holding the map lock (an injected
@@ -556,11 +474,10 @@ impl<T: Serialize + DeserializeOwned> ConnPool<T> {
             self.metrics.clone(),
         ));
         let mut peers = self.peers.lock();
-        let p = peers.entry(addr.to_string()).or_default();
-        match &p.mux {
+        match peers.get(addr) {
             Some(existing) if !existing.is_broken() => Ok((Arc::clone(existing), true)),
             _ => {
-                p.mux = Some(Arc::clone(&conn));
+                peers.insert(addr.to_string(), Arc::clone(&conn));
                 Ok((conn, false))
             }
         }
@@ -572,10 +489,10 @@ impl<T: Serialize + DeserializeOwned> ConnPool<T> {
     /// pool takes here is it paying for its own keep-alive gamble, not
     /// a peer failure, so it is never charged to the caller's retry or
     /// health budgets.
-    pub fn rpc(
+    pub fn rpc<Q: Serialize + ?Sized>(
         &self,
         addr: &str,
-        request: &T,
+        request: &Q,
         read_timeout: Duration,
     ) -> io::Result<(T, RpcConnInfo)> {
         self.rpc_with_meta(addr, request, read_timeout, None)
@@ -585,10 +502,10 @@ impl<T: Serialize + DeserializeOwned> ConnPool<T> {
     /// deadline budget and priority class for the server's admission
     /// gate. `None` falls back to a plain correlated frame, readable by
     /// servers predating the metadata header.
-    pub fn rpc_with_meta(
+    pub fn rpc_with_meta<Q: Serialize + ?Sized>(
         &self,
         addr: &str,
-        request: &T,
+        request: &Q,
         read_timeout: Duration,
         meta: Option<FrameMeta>,
     ) -> io::Result<(T, RpcConnInfo)> {
@@ -600,15 +517,20 @@ impl<T: Serialize + DeserializeOwned> ConnPool<T> {
             self.config.max_inflight_per_conn,
             meta,
         ) {
-            Ok((reply, bytes_out, bytes_in)) => Ok((
-                reply,
-                RpcConnInfo {
-                    reused: pre_existing,
-                    stale_reconnect: false,
-                    bytes_out: bytes_out as u64,
-                    bytes_in: bytes_in as u64,
-                },
-            )),
+            Ok((reply, bytes_out, bytes_in)) => {
+                if pre_existing {
+                    self.metrics.reused.inc();
+                }
+                Ok((
+                    reply,
+                    RpcConnInfo {
+                        reused: pre_existing,
+                        stale_reconnect: false,
+                        bytes_out: bytes_out as u64,
+                        bytes_in: bytes_in as u64,
+                    },
+                ))
+            }
             Err(e) if stale_eligible && is_connection_level(&e) => {
                 self.metrics.stale_reconnects.inc();
                 self.drop_mux(addr, &conn);
@@ -637,54 +559,29 @@ impl<T: Serialize + DeserializeOwned> ConnPool<T> {
     /// `addr` (another thread may already have replaced it).
     fn drop_mux(&self, addr: &str, conn: &Arc<MuxConn<T>>) {
         let mut peers = self.peers.lock();
-        if let Some(p) = peers.get_mut(addr) {
-            if let Some(m) = &p.mux {
-                if Arc::ptr_eq(m, conn) {
-                    p.mux = None;
-                }
-            }
+        if peers.get(addr).is_some_and(|m| Arc::ptr_eq(m, conn)) {
+            peers.remove(addr);
         }
     }
 
-    /// Retire idle exclusive streams past the idle timeout and forget
-    /// broken mux streams. Cheap; the gossip loop calls it every tick.
+    /// Forget broken streams. Cheap; the gossip loop calls it every
+    /// tick.
     pub fn reap(&self) {
-        let now = Instant::now();
-        let mut peers = self.peers.lock();
-        peers.retain(|_, p| {
-            let before = p.idle.len();
-            p.idle
-                .retain(|c| now.duration_since(c.since) < self.config.idle_timeout);
-            let reaped = before - p.idle.len();
-            if reaped > 0 {
-                self.metrics.reaped.add(reaped as u64);
-            }
-            if p.mux.as_ref().is_some_and(|m| m.is_broken()) {
-                p.mux = None;
-            }
-            p.mux.is_some() || !p.idle.is_empty()
-        });
+        self.peers.lock().retain(|_, m| !m.is_broken());
     }
 
-    /// Test hook: break every pooled stream to `addr` at the socket
+    /// Test hook: break the pooled stream to `addr` at the socket
     /// level *without removing it from the pool*, simulating a peer
     /// that silently dropped its keep-alives — the next use sees a
     /// stale stream. Returns how many streams were broken.
     pub fn debug_break(&self, addr: &str) -> usize {
-        let peers = self.peers.lock();
-        let Some(p) = peers.get(addr) else {
-            return 0;
-        };
-        let mut broken = 0;
-        for c in &p.idle {
-            let _ = c.stream.shutdown(std::net::Shutdown::Both);
-            broken += 1;
+        match self.peers.lock().get(addr) {
+            Some(m) => {
+                let _ = m.stream.shutdown(std::net::Shutdown::Both);
+                1
+            }
+            None => 0,
         }
-        if let Some(m) = &p.mux {
-            let _ = m.stream.shutdown(std::net::Shutdown::Both);
-            broken += 1;
-        }
-        broken
     }
 }
 
@@ -718,51 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn checkout_reuses_checked_in_streams() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        // Accept the one connection the test opens (both later
-        // checkouts are reuses) and hold it so check-ins stay usable.
-        let held = std::thread::spawn(move || {
-            let _conn = listener.accept();
-            std::thread::sleep(Duration::from_millis(500));
-        });
-        let (p, m) = pool(ConnConfig::default());
-        let (s1, reused) = p.checkout(&addr).unwrap();
-        assert!(!reused);
-        assert_eq!(m.opened.get(), 1);
-        p.check_in(&addr, s1);
-        let (s2, reused) = p.checkout(&addr).unwrap();
-        assert!(reused, "checked-in stream must be reused");
-        assert_eq!(m.opened.get(), 1, "reuse must not connect");
-        assert_eq!(m.reused.get(), 1);
-        p.check_in(&addr, s2);
-        let (s3, reused) = p.checkout(&addr).unwrap();
-        assert!(reused);
-        drop(s3);
-        held.join().unwrap();
-    }
-
-    #[test]
-    fn reap_retires_idle_streams() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let held = std::thread::spawn(move || {
-            let _conn = listener.accept();
-            std::thread::sleep(Duration::from_millis(300));
-        });
-        let (p, m) = pool(ConnConfig {
-            idle_timeout: Duration::ZERO,
-            ..ConnConfig::default()
-        });
-        let (s, _) = p.checkout(&addr).unwrap();
-        p.check_in(&addr, s);
-        p.reap();
-        assert_eq!(m.reaped.get(), 1);
-        held.join().unwrap();
-    }
-
-    #[test]
     fn mux_rpc_roundtrips_and_reuses_one_stream() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
@@ -777,6 +629,7 @@ mod tests {
         assert_eq!(reply, vec![9]);
         assert!(info.reused, "second RPC shares the stream");
         assert_eq!(m.opened.get(), 1, "exactly one connect for both RPCs");
+        assert_eq!(m.reused.get(), 1, "and one contact served off it");
         drop(p); // closes the stream; the server loop exits its accept
         drop(server);
     }

@@ -116,7 +116,7 @@ pub struct PeerHealthEntry {
     /// While offline: do not probe again before this local time (ms).
     pub retry_at_ms: u64,
     /// Keep-alive connections to this peer that went stale and were
-    /// transparently replaced. Diagnostic only: a reaped idle stream
+    /// transparently replaced. Diagnostic only: a stream that died idle
     /// says nothing about the peer's liveness, so these never feed the
     /// consecutive-failure state machine.
     pub stale_reconnects: u32,

@@ -19,8 +19,9 @@
 //! arrive truncated or corrupt, replies never come. Three layers deal
 //! with this (see `DESIGN.md` §8):
 //!
-//! - every logical contact (a gossip exchange, a search RPC) retries
-//!   with capped exponential backoff
+//! - every logical contact (a gossip conversation, a search RPC — both
+//!   built from the same request/reply `exchange`) retries with capped
+//!   exponential backoff
 //!   ([`RetryPolicy`](crate::health::RetryPolicy));
 //! - a per-peer [`PeerHealth`](crate::health::PeerHealth) table turns
 //!   *consecutive* exhausted contacts into `Healthy → Suspect →
@@ -48,7 +49,7 @@
 //! | module        | owns                                                        | locks |
 //! |---------------|-------------------------------------------------------------|-------|
 //! | `gossip_loop` | engine + diff base, address book, WAL store, catch-up flag  | **engine** (shared by everyone, through methods), durable (leaf) |
-//! | `rpc`         | peer health table, connection pool                          | health (leaf) |
+//! | `rpc`         | peer health table, connection pool (one stream per peer)    | health (leaf) |
 //! | `search`      | filter mirror + query cache (Bloofi mounted here), worker pool | **mirror** |
 //! | `server`      | server workers, admission gate, open-connection count       | — |
 //! | `replica`     | replication decision engine                                 | replica (leaf) |

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use super::stats::NodeStats;
-use super::{Inner, LiveConfig, LiveDelta, LivePayload};
+use super::{Inner, LiveConfig, LiveDelta, LiveMsg, LivePayload};
 use crate::durable::{DurableStore, RecoveryInfo, StoreMetrics, WalRecord};
 use crate::error::PlanetPError;
 
@@ -216,8 +216,8 @@ pub(super) fn run(inner: &Inner) {
             // Fold whatever this tick (and any inbound gossip since
             // the last one) taught us into the WAL.
             inner.persist_directory();
-            // Retire idle pooled streams past their timeout.
-            inner.reap_idle_conns();
+            // Forget pooled streams that broke since the last tick.
+            inner.reap_broken_conns();
         }
         if !replicates {
             // Without replication the loop only waits on gossip ticks.
@@ -333,14 +333,14 @@ impl Inner {
     // ------------------------------------------------------------------
 
     /// Hand one inbound protocol message to the engine; returns what it
-    /// wants said back.
-    pub(super) fn handle_gossip(
-        &self,
-        from: PeerId,
-        msg: Message<LivePayload>,
-    ) -> Vec<(PeerId, Message<LivePayload>)> {
+    /// wants said back to the sender, framed as this node's messages.
+    pub(super) fn handle_gossip(&self, from: PeerId, msg: Message<LivePayload>) -> Vec<LiveMsg> {
         let now = self.now_ms();
-        self.gossip().engine.handle_message(from, msg, now)
+        let answers = self.gossip().engine.handle_message(from, msg, now);
+        answers
+            .into_iter()
+            .map(|(_, msg)| LiveMsg::Gossip { from: self.id, msg })
+            .collect()
     }
 
     /// A suspect/offline peer answered again.

@@ -203,7 +203,7 @@ impl LiveNode {
         self.inner.peer_health(peer)
     }
 
-    /// Test hook: break every pooled stream to `peer` at the socket
+    /// Test hook: break the pooled stream to `peer` at the socket
     /// level without telling the pool, simulating a peer that silently
     /// dropped its keep-alives (restart, NAT timeout). The next pooled
     /// contact sees a stale stream and must recover transparently.

@@ -1,6 +1,6 @@
-//! Outbound contacts: fault-aware socket plumbing, the per-peer health
-//! table every contact is charged to, the gossip exchange (both
-//! halves), and the one RPC attempt loop.
+//! Outbound contacts: the one request/reply primitive (`exchange`),
+//! the per-peer health table every contact is charged to, the gossip
+//! conversation built from it, and the one RPC attempt loop.
 //!
 //! The health lock is a leaf: a health transition is computed under
 //! it, released, and only then fed to the gossip directory.
@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use super::stats::NodeStats;
 use super::types::{budget_ms, priority_of};
 use super::{Inner, LiveConfig, LiveMsg, LivePayload};
-use crate::conn::{is_connection_level, ConnMetrics, ConnPool, RpcConnInfo};
+use crate::conn::{ConnMetrics, ConnPool, RpcConnInfo};
 use crate::error::PlanetPError;
 use crate::faults::{Direction, FaultInjector};
 use crate::health::{splitmix64, PeerHealth, PeerHealthEntry};
@@ -22,9 +22,9 @@ use crate::wire::{FrameMeta, Priority};
 
 pub(super) struct Transport {
     health: Mutex<PeerHealth>,
-    /// Persistent outbound connections (keep-alive gossip streams plus
-    /// one multiplexed RPC stream per peer). `None` when pooling is
-    /// disabled — every contact then connects and hangs up.
+    /// Persistent outbound connections (one multiplexed stream per
+    /// peer). `None` when pooling is disabled — every request then
+    /// connects and hangs up.
     conns: Option<ConnPool<Vec<LiveMsg>>>,
 }
 
@@ -63,24 +63,8 @@ pub(super) struct CallShape {
 
 impl Inner {
     // ------------------------------------------------------------------
-    // Fault-aware socket plumbing
+    // The transport seam
     // ------------------------------------------------------------------
-
-    /// Open an outbound connection with timeouts set (and outbound
-    /// faults applied). Used by the connect-per-contact path when
-    /// pooling is disabled; the pooled path connects via [`ConnPool`].
-    fn connect(&self, addr: &str) -> io::Result<TcpStream> {
-        if let Some(f) = &self.config.faults {
-            f.admit(Direction::Outbound)?;
-        }
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(self.config.io_timeout))?;
-        stream.set_write_timeout(Some(self.config.io_timeout))?;
-        if self.config.conn.nodelay {
-            let _ = stream.set_nodelay(true);
-        }
-        Ok(stream)
-    }
 
     /// The injector and the direction it should judge, for the frame
     /// writer.
@@ -88,33 +72,68 @@ impl Inner {
         self.config.faults.as_deref().map(|f| (f, dir))
     }
 
-    fn send(&self, dir: Direction, stream: &mut TcpStream, batch: &[LiveMsg]) -> io::Result<()> {
-        let wire_bytes = crate::wire::send_frame(stream, None, None, batch, self.faults(dir))?;
-        self.stats.bytes_out.add(wire_bytes as u64);
+    /// Say `batch` to the node at `addr` and hear its reply: the one
+    /// place a request frame is written and its reply read, and the one
+    /// place outbound contacts move `net.bytes_*` / `net.frames_*`.
+    ///
+    /// With pooling on, the request rides the peer's shared multiplexed
+    /// stream under a correlation id, `meta` telling the receiver's
+    /// admission gate its class and deadline budget; a stale pooled
+    /// stream is replaced transparently inside the pool and reported
+    /// via [`RpcConnInfo::stale_reconnect`]. Without pooling this is
+    /// the original connect-send-read-hangup exchange (bare frames,
+    /// which carry no metadata — the server then classifies by message
+    /// type).
+    fn exchange(
+        &self,
+        addr: &str,
+        batch: &[LiveMsg],
+        read_timeout: Duration,
+        meta: FrameMeta,
+    ) -> io::Result<(Vec<LiveMsg>, RpcConnInfo)> {
+        let (reply, info) = if let Some(pool) = &self.transport.conns {
+            pool.rpc_with_meta(addr, batch, read_timeout, Some(meta))?
+        } else {
+            let out = Direction::Outbound;
+            if let Some(f) = &self.config.faults {
+                f.admit(out)?;
+            }
+            let mut stream = TcpStream::connect(addr)?;
+            stream.set_read_timeout(Some(read_timeout))?;
+            stream.set_write_timeout(Some(self.config.io_timeout))?;
+            if self.config.conn.nodelay {
+                let _ = stream.set_nodelay(true);
+            }
+            let bytes_out =
+                crate::wire::send_frame(&mut stream, None, None, batch, self.faults(out))?;
+            if let Some(f) = &self.config.faults {
+                f.delay(out);
+            }
+            let (frame, _, bytes_in) =
+                crate::wire::read_any_frame_meta_sized::<Vec<LiveMsg>>(&mut stream)?
+                    .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "no reply"))?;
+            let info = RpcConnInfo {
+                bytes_out: bytes_out as u64,
+                bytes_in: bytes_in as u64,
+                ..RpcConnInfo::default()
+            };
+            (frame.into_value(), info)
+        };
+        self.stats.bytes_out.add(info.bytes_out);
         self.stats.frames_out.inc();
-        Ok(())
+        self.stats.bytes_in.add(info.bytes_in);
+        self.stats.frames_in.inc();
+        Ok((reply, info))
     }
 
-    fn recv(&self, dir: Direction, stream: &mut TcpStream) -> io::Result<Option<Vec<LiveMsg>>> {
-        if let Some(f) = &self.config.faults {
-            f.delay(dir);
-        }
-        let got = crate::wire::read_any_frame_meta_sized::<Vec<LiveMsg>>(stream)?;
-        Ok(got.map(|(frame, _, wire_bytes)| {
-            self.stats.bytes_in.add(wire_bytes as u64);
-            self.stats.frames_in.inc();
-            frame.into_value()
-        }))
-    }
-
-    /// Retire idle pooled streams past their timeout.
-    pub(super) fn reap_idle_conns(&self) {
+    /// Forget pooled streams that broke.
+    pub(super) fn reap_broken_conns(&self) {
         if let Some(p) = &self.transport.conns {
             p.reap();
         }
     }
 
-    /// Break every pooled stream to `peer` at the socket level without
+    /// Break the pooled stream to `peer` at the socket level without
     /// telling the pool; returns how many were broken.
     pub(super) fn debug_break_pooled_conns(&self, peer: PeerId) -> usize {
         match (self.resolve(peer), &self.transport.conns) {
@@ -163,6 +182,14 @@ impl Inner {
         );
     }
 
+    /// The pool replaced a stale keep-alive stream to `peer` under a
+    /// contact: diagnostic only, never a failure.
+    fn note_stream_replaced(&self, peer: PeerId, info: &RpcConnInfo) {
+        if info.stale_reconnect {
+            self.transport.health.lock().record_stale_reconnect(peer);
+        }
+    }
+
     /// Is `peer` offline and still inside its probe backoff?
     pub(super) fn in_backoff(&self, peer: PeerId) -> bool {
         self.transport
@@ -190,91 +217,35 @@ impl Inner {
     // Gossip transport
     // ------------------------------------------------------------------
 
-    /// One side of a gossip conversation over an open stream: say
-    /// `opening`, then alternate — read the other side's batch, hand it
-    /// to the engine, write back what the engine answers — until either
-    /// side has nothing more to say. The initiator opens with its
-    /// message, the responder with its answers to the message that
-    /// arrived; `dir` is the side the fault injector judges. The
-    /// conversation ends at a clean frame boundary (one side sends an
-    /// empty batch and the other reads it), which is what makes the
-    /// stream reusable for the next round.
-    ///
-    /// `reused` marks a keep-alive stream from the pool: end-of-stream
-    /// before the first reply then means the peer silently dropped its
-    /// end while the stream idled, and is reported as a
-    /// connection-level error so the caller can reconnect
-    /// transparently. Otherwise a peer that hangs up is not our
-    /// problem.
-    pub(super) fn gossip_exchange(
-        &self,
-        stream: &mut TcpStream,
-        dir: Direction,
-        opening: Vec<(PeerId, Message<LivePayload>)>,
-        reused: bool,
-    ) -> io::Result<()> {
-        let mut say = opening;
-        let mut heard_nothing_yet = reused;
-        loop {
-            let batch: Vec<LiveMsg> = say
-                .drain(..)
-                .map(|(_, msg)| LiveMsg::Gossip { from: self.id, msg })
-                .collect();
-            self.send(dir, stream, &batch)?;
-            if batch.is_empty() {
-                return Ok(());
-            }
-            let Some(reply) = self.recv(dir, stream)? else {
-                if heard_nothing_yet {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "pooled stream closed before the first reply",
-                    ));
-                }
-                return Ok(());
-            };
-            heard_nothing_yet = false;
-            if reply.is_empty() {
-                return Ok(());
-            }
-            for m in reply {
-                if let LiveMsg::Gossip { from, msg } = m {
-                    say.extend(self.handle_gossip(from, msg));
-                }
-            }
-        }
-    }
-
-    /// One attempt at a full gossip exchange with `target`. With
-    /// pooling on, the stream comes from the keep-alive pool and goes
-    /// back after a clean exchange; a connection-level failure on a
-    /// reused stream is absorbed by one transparent fresh reconnect
-    /// (counted as `conn.stale_reconnects`, never charged as a gossip
-    /// retry).
+    /// One attempt at a whole gossip conversation with `target` (§3's
+    /// push → ack with piggybacked ids → pull → reply): say `msg`, hand
+    /// what comes back to the engine, say what the engine answers, until
+    /// it has nothing left to say. Every step is one [`Self::exchange`]
+    /// — a request and its reply on the peer's one stream — so a stale
+    /// stream is replaced inside the pool (uncharged, noted on the
+    /// peer's health entry) and a `Busy` reply, carrying nothing for the
+    /// engine, ends the conversation without a failure.
     fn gossip_attempt(
         &self,
         target: PeerId,
         addr: &str,
         msg: &Message<LivePayload>,
     ) -> io::Result<()> {
-        let initiate = |stream: &mut TcpStream, reused| {
-            let opening = vec![(target, msg.clone())];
-            self.gossip_exchange(stream, Direction::Outbound, opening, reused)
-        };
-        let Some(pool) = &self.transport.conns else {
-            return initiate(&mut self.connect(addr)?, false);
-        };
-        let (mut stream, reused) = pool.checkout(addr)?;
-        match initiate(&mut stream, reused) {
-            Err(e) if reused && is_connection_level(&e) => {
-                drop(stream);
-                pool.note_stale_reconnect();
-                stream = pool.checkout_fresh(addr)?;
-                initiate(&mut stream, false)?;
+        let mut say = vec![LiveMsg::Gossip {
+            from: self.id,
+            msg: msg.clone(),
+        }];
+        while !say.is_empty() {
+            let meta = FrameMeta::new(priority_of(&say[0]));
+            let (reply, info) = self.exchange(addr, &say, self.config.io_timeout, meta)?;
+            self.note_stream_replaced(target, &info);
+            say.clear();
+            for m in reply {
+                if let LiveMsg::Gossip { from, msg } = m {
+                    say.extend(self.handle_gossip(from, msg));
+                }
             }
-            other => other?,
         }
-        pool.check_in(addr, stream);
         Ok(())
     }
 
@@ -305,7 +276,7 @@ impl Inner {
         match result {
             Ok(()) => {
                 self.stats
-                    .gossip_exchange_ms
+                    .gossip_contact_ms
                     .observe(started.elapsed().as_millis() as u64);
                 self.note_contact_ok(target, started.elapsed());
                 self.note_catchup_complete();
@@ -331,20 +302,11 @@ impl Inner {
         Duration::from_millis(attempts * per_attempt + (attempts - 1) * r.max_delay_ms)
     }
 
-    /// One synchronous RPC attempt (no retries). `read_timeout` sets
-    /// the reply deadline — point RPCs use `io_timeout`, proxied
-    /// searches a fan-out-sized budget.
-    ///
-    /// With pooling on, the request rides the peer's shared
-    /// multiplexed stream under a correlation id; a stale pooled
-    /// stream is replaced transparently inside the pool and reported
-    /// via [`RpcConnInfo::stale_reconnect`] — the attempt still counts
-    /// as a single success. Without pooling this is the original
-    /// connect-send-read-hangup exchange (bare frames, which carry no
-    /// metadata — the server then classifies by message type).
-    ///
-    /// `meta` attaches the request's deadline budget and priority class
-    /// for the receiver's admission gate.
+    /// One synchronous RPC attempt (no retries): one request, the one
+    /// message of its reply. `read_timeout` sets the reply deadline —
+    /// point RPCs use `io_timeout`, proxied searches a fan-out-sized
+    /// budget — and `meta` carries it, with the priority class, to the
+    /// receiver's admission gate.
     fn rpc_once(
         &self,
         addr: &str,
@@ -352,27 +314,8 @@ impl Inner {
         read_timeout: Duration,
         meta: FrameMeta,
     ) -> io::Result<(LiveMsg, RpcConnInfo)> {
-        let (reply, info) = if let Some(pool) = &self.transport.conns {
-            let batch = vec![request.clone()];
-            let (reply, info) = pool.rpc_with_meta(addr, &batch, read_timeout, Some(meta))?;
-            self.stats.bytes_out.add(info.bytes_out);
-            self.stats.frames_out.inc();
-            self.stats.bytes_in.add(info.bytes_in);
-            self.stats.frames_in.inc();
-            (reply, info)
-        } else {
-            let mut stream = self.connect(addr)?;
-            stream.set_read_timeout(Some(read_timeout))?;
-            self.send(
-                Direction::Outbound,
-                &mut stream,
-                std::slice::from_ref(request),
-            )?;
-            let reply = self
-                .recv(Direction::Outbound, &mut stream)?
-                .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "no reply"))?;
-            (reply, RpcConnInfo::default())
-        };
+        let (reply, info) =
+            self.exchange(addr, std::slice::from_ref(request), read_timeout, meta)?;
         let msg = reply
             .into_iter()
             .next()
@@ -460,11 +403,7 @@ impl Inner {
                     self.stats
                         .rpc_latency_ms
                         .observe(attempt_started.elapsed().as_millis() as u64);
-                    if info.stale_reconnect {
-                        // The pool replaced a stale keep-alive stream
-                        // under us: diagnostic only, never a failure.
-                        self.transport.health.lock().record_stale_reconnect(peer);
-                    }
+                    self.note_stream_replaced(peer, &info);
                     self.note_contact_ok(peer, started.elapsed());
                     return Ok(reply);
                 }

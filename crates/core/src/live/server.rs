@@ -91,10 +91,11 @@ pub(super) fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
 }
 
 impl Inner {
-    /// How long the server keeps an idle accepted connection alive. A
-    /// little longer than the clients' idle reaping horizon, so the
-    /// server is never the one to hang up on a stream a client still
-    /// considers poolable.
+    /// How long the server keeps polling an accepted connection that
+    /// says nothing. The server may be the one to hang up: a mux stream
+    /// it idles out is stale at its client's next request, and the
+    /// client's pool replaces it with one uncharged transparent
+    /// reconnect.
     fn server_keepalive(&self) -> Duration {
         self.config.conn.idle_timeout * 2
     }
@@ -123,13 +124,22 @@ impl Inner {
 
     /// One cooperative scheduling turn for an accepted connection:
     /// admit it (once, on a worker — not on the listener thread), poll
-    /// briefly for data, serve exactly one frame if one arrived, and
-    /// requeue. Returning without requeueing drops the connection.
-    /// Bounded workers multiplex all accepted connections this way —
-    /// an idle keep-alive stream costs a poll per turn, not a parked
-    /// thread.
+    /// briefly for data, serve the frame that arrived, and requeue.
+    /// Returning without requeueing drops the connection. Bounded
+    /// workers multiplex all accepted connections this way — an idle
+    /// keep-alive stream costs a poll per turn, not a parked thread.
+    ///
+    /// A connection that just spoke is looked at once more, briefly,
+    /// before it goes to the back of the queue: a request the peer
+    /// wrote behind the one just served is already there, and the next
+    /// step of a gossip conversation follows within a round trip —
+    /// neither should wait out a rotation of idle polls. A turn serves
+    /// at most `TURN_FRAMES` frames, so a peer cannot keep a worker by
+    /// talking, and a peer that has stopped costs it `TURN_LINGER`.
     fn serve_step(weak: &Weak<Inner>, mut conn: ServerConn) {
         const SERVER_POLL: Duration = Duration::from_millis(5);
+        const TURN_LINGER: Duration = Duration::from_millis(1);
+        const TURN_FRAMES: usize = 4;
         let Some(inner) = weak.upgrade() else { return };
         if inner.shutdown.load(Ordering::Relaxed) {
             return;
@@ -144,29 +154,37 @@ impl Inner {
             conn.admitted = true;
         }
         let mut probe = [0u8; 1];
-        if conn.stream.set_read_timeout(Some(SERVER_POLL)).is_err() {
-            return;
-        }
-        match conn.stream.peek(&mut probe) {
-            Ok(0) => return, // peer closed
-            Ok(_) => {
-                let _ = conn.stream.set_read_timeout(Some(inner.config.io_timeout));
-                if !inner.serve_one_frame(&mut conn.stream) {
-                    return;
-                }
-                conn.idle_deadline = Instant::now() + inner.server_keepalive();
+        for served in 0..TURN_FRAMES {
+            let wait = if served == 0 {
+                SERVER_POLL
+            } else {
+                TURN_LINGER
+            };
+            if conn.stream.set_read_timeout(Some(wait)).is_err() {
+                return;
             }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if Instant::now() >= conn.idle_deadline {
-                    return; // idled out
+            match conn.stream.peek(&mut probe) {
+                Ok(0) => return, // peer closed
+                Ok(_) => {
+                    let _ = conn.stream.set_read_timeout(Some(inner.config.io_timeout));
+                    if !inner.serve_one_frame(&mut conn.stream) {
+                        return;
+                    }
+                    conn.idle_deadline = Instant::now() + inner.server_keepalive();
                 }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    if Instant::now() >= conn.idle_deadline {
+                        return; // idled out
+                    }
+                    break;
+                }
+                Err(_) => return,
             }
-            Err(_) => return,
         }
         inner.enqueue_conn(conn);
     }
@@ -244,7 +262,7 @@ impl Inner {
                     retry_after_ms,
                     class,
                 };
-                self.reply_framed(stream, corr, busy);
+                self.reply_framed(stream, corr, &[busy]);
                 return true;
             }
             Admission::Expired => {
@@ -254,36 +272,26 @@ impl Inner {
                 return true;
             }
         }
-        let keep = self.dispatch_batch(stream, corr, batch);
+        self.dispatch_batch(stream, corr, batch);
         self.server.admission.complete();
-        keep
+        true
     }
 
-    /// Serve every message of one admitted frame. Split from
-    /// [`Self::serve_one_frame`] so its early returns cannot leak the
-    /// admission slot.
-    fn dispatch_batch(
-        &self,
-        stream: &mut TcpStream,
-        corr: Option<u64>,
-        batch: Vec<LiveMsg>,
-    ) -> bool {
+    /// Serve every message of one admitted frame: each request is
+    /// answered with its own reply frame, and the gossip messages of
+    /// the frame with one — whatever the engine wants said back, an
+    /// empty batch when that is nothing, so the sender's exchange always
+    /// completes. The stream is only ever written here, never read: a
+    /// gossip conversation is as many request frames as its initiator
+    /// cares to send, and a worker owes a silent peer nothing.
+    fn dispatch_batch(&self, stream: &mut TcpStream, corr: Option<u64>, batch: Vec<LiveMsg>) {
+        let mut gossip_answers: Option<Vec<LiveMsg>> = None;
         for m in batch {
             let reply = match m {
                 LiveMsg::Gossip { from, msg } => {
-                    // Gossip alternates bare frames inline on this
-                    // stream; the conversation ends at a clean frame
-                    // boundary, so the stream stays reusable.
-                    let answers = self.handle_gossip(from, msg);
-                    if let Err(e) = self.gossip_exchange(stream, Direction::Inbound, answers, false)
-                    {
-                        self.stats.reply_failures.inc();
-                        debug_log!(
-                            "planetp[{}]: gossip conversation with {from} broke: {e}",
-                            self.id
-                        );
-                        return false;
-                    }
+                    gossip_answers
+                        .get_or_insert_with(Vec::new)
+                        .extend(self.handle_gossip(from, msg));
                     continue;
                 }
                 LiveMsg::SearchRequest {
@@ -332,19 +340,20 @@ impl Inner {
                 | LiveMsg::StatsResponse { .. }
                 | LiveMsg::Busy { .. } => continue,
             };
-            self.reply_framed(stream, corr, reply);
+            self.reply_framed(stream, corr, &[reply]);
         }
-        true
+        if let Some(answers) = gossip_answers {
+            self.reply_framed(stream, corr, &answers);
+        }
     }
 
-    /// Write one RPC reply, counting (not swallowing) failures. A
+    /// Write one reply frame, counting (not swallowing) failures. A
     /// `corr` id echoes the request's correlation id so the client's
     /// multiplexer can route the reply; `None` writes a bare frame
     /// for one-shot clients.
-    fn reply_framed(&self, stream: &mut TcpStream, corr: Option<u64>, msg: LiveMsg) {
-        let batch = vec![msg];
+    fn reply_framed(&self, stream: &mut TcpStream, corr: Option<u64>, batch: &[LiveMsg]) {
         let faults = self.faults(Direction::Inbound);
-        let res = crate::wire::send_frame(stream, corr, None, &batch, faults);
+        let res = crate::wire::send_frame(stream, corr, None, batch, faults);
         match res {
             Ok(n) => {
                 // An injected dropped reply reports 0 bytes written —

@@ -62,7 +62,7 @@ node_stats! {
     frames_out: counter(names::NET_FRAMES_OUT),
     frames_in: counter(names::NET_FRAMES_IN),
     rpc_latency_ms: histogram(names::RPC_LATENCY_MS, LATENCY_MS_BUCKETS),
-    gossip_exchange_ms: histogram(names::GOSSIP_EXCHANGE_MS, LATENCY_MS_BUCKETS),
+    gossip_contact_ms: histogram(names::GOSSIP_EXCHANGE_MS, LATENCY_MS_BUCKETS),
     search_queries: counter(names::SEARCH_QUERIES),
     search_peers_contacted: counter(names::SEARCH_PEERS_CONTACTED),
     search_stopped_early: counter(names::SEARCH_STOPPED_EARLY),

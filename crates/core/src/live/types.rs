@@ -169,7 +169,7 @@ pub enum LiveMsg {
 }
 
 /// The admission class of a request message when its sender attached
-/// no explicit [`FrameMeta`] (one-shot clients, gossip streams): searches
+/// no explicit [`FrameMeta`] (one-shot clients sending bare frames): searches
 /// serve a waiting human, gossip and stats keep the community coherent,
 /// replica pushes are deferrable background repair. Reply types never
 /// pass admission on their own and default to Control.
@@ -269,8 +269,8 @@ pub struct LiveConfig {
     /// node's own version pair, and the learned directory survive a
     /// kill, and startup runs recovery + an anti-entropy catch-up.
     pub durable: Option<DurableConfig>,
-    /// Persistent connection pool (keep-alive gossip streams, one
-    /// multiplexed RPC stream per peer, `TCP_NODELAY`, bounded server
+    /// Persistent connection pool (one multiplexed stream per peer
+    /// for gossip and RPCs alike, `TCP_NODELAY`, bounded server
     /// workers). `conn.enabled = false` restores connect-per-contact.
     pub conn: ConnConfig,
     /// Availability-aware autonomous replication (DESIGN.md §15). Off

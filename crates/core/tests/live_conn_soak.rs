@@ -1,6 +1,8 @@
 //! Connection-pool behaviour under real sockets: the zero-connect
-//! warm path, the uncharged stale-reconnect contract, and a soak that
-//! mixes gossip and search load with ~20% connection faults while
+//! warm path, one stream per peer for gossip and search alike, a server
+//! worker that never waits on a gossiping client, the uncharged
+//! stale-reconnect contract, the connect-per-request mode, and a soak
+//! that mixes gossip and search load with ~20% connection faults while
 //! watching process-level resource bounds.
 //!
 //! The acceptance claim for the pooled live wire lives here: a warm
@@ -10,9 +12,11 @@
 use planetp::faults::{FaultInjector, FaultPlan, FaultRules};
 use planetp::health::{HealthState, RetryPolicy};
 use planetp::live::{FanoutConfig, LiveConfig, LiveNode};
-use planetp::ConnConfig;
-use planetp_gossip::GossipConfig;
+use planetp::wire::{read_any_frame_meta_sized, write_frame};
+use planetp::{ConnConfig, LiveMsg};
+use planetp_gossip::{GossipConfig, Message};
 use planetp_obs::names;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -174,6 +178,114 @@ fn warm_ranked_search_opens_zero_connections() {
     assert!(
         after.counter(names::CONN_REUSED) > base_reused,
         "warm searches must ride reused pooled streams"
+    );
+}
+
+/// Gossip and search share the peer's one stream: after a 4-node
+/// community has converged and every node has run a ranked search that
+/// reaches every other, no node has opened more than one connection per
+/// peer.
+#[test]
+fn gossip_and_search_share_one_stream_per_peer() {
+    const N: u32 = 4;
+    let nodes = community(N, |id| {
+        base_config(740 + u64::from(id), None, ConnConfig::default())
+    });
+    for n in &nodes {
+        let r = n.search_ranked("soak corpus", 50).unwrap();
+        assert_eq!(r.hits.len(), N as usize, "{:?}", r.coverage);
+    }
+    for n in &nodes {
+        let opened = n.metrics_snapshot().counter(names::CONN_OPENED);
+        assert!(
+            opened <= u64::from(N - 1),
+            "node {} opened {opened} connections to {} peers",
+            n.id(),
+            N - 1
+        );
+    }
+}
+
+/// A gossip frame is a request with one reply, and the worker that
+/// served it is free again: a client that pushes a rumor, reads the
+/// ack and then says nothing more cannot hold a node's only server
+/// worker, so a search RPC from a real peer is answered right away —
+/// not after the silent client's `io_timeout` runs out.
+#[test]
+fn silent_gossip_client_does_not_hold_the_server_worker() {
+    const IO_TIMEOUT: Duration = Duration::from_secs(4);
+    let config = |id: u32| LiveConfig {
+        io_timeout: IO_TIMEOUT,
+        ..base_config(
+            750 + u64::from(id),
+            None,
+            ConnConfig {
+                server_threads: 1,
+                ..ConnConfig::default()
+            },
+        )
+    };
+    let nodes = community(2, config);
+    let (served, searcher) = (&nodes[0], &nodes[1]);
+
+    let mut silent = TcpStream::connect(served.addr()).expect("connect");
+    silent.set_read_timeout(Some(IO_TIMEOUT)).unwrap();
+    let rumor = LiveMsg::Gossip {
+        from: 99,
+        msg: Message::Rumor { rumors: Vec::new() },
+    };
+    write_frame(&mut silent, &[rumor]).expect("rumor frame");
+    let (ack, _, _) = read_any_frame_meta_sized::<Vec<LiveMsg>>(&mut silent)
+        .expect("ack frame")
+        .expect("the server answers a rumor");
+    assert!(
+        matches!(
+            ack.into_value().as_slice(),
+            [LiveMsg::Gossip {
+                msg: Message::RumorAck { .. },
+                ..
+            }]
+        ),
+        "a rumor is answered with its ack"
+    );
+
+    // The client now owes the conversation nothing and sends nothing.
+    let started = Instant::now();
+    let r = searcher.search_ranked("soak corpus", 10).unwrap();
+    let took = started.elapsed();
+    assert!(r.coverage.is_complete(), "{:?}", r.coverage);
+    assert_eq!(r.hits.len(), 2, "one doc per node");
+    assert!(
+        took < IO_TIMEOUT / 4,
+        "search waited {took:?} behind a silent gossip client"
+    );
+    drop(silent);
+}
+
+/// The connect-per-request mode (`conn.enabled = false`): every gossip
+/// step and every RPC opens a stream, sends one bare frame, reads one
+/// bare reply and hangs up — and a community run that way still
+/// converges and answers a ranked search completely.
+#[test]
+fn unpooled_community_converges_and_searches() {
+    const N: u32 = 3;
+    let conn = ConnConfig {
+        enabled: false,
+        ..ConnConfig::default()
+    };
+    let nodes = community(N, |id| base_config(760 + u64::from(id), None, conn));
+    let r = nodes[1].search_ranked("soak corpus", 50).unwrap();
+    assert!(r.coverage.is_complete(), "{:?}", r.coverage);
+    assert_eq!(r.hits.len(), N as usize, "one doc per node");
+    let snap = nodes[1].metrics_snapshot();
+    assert_eq!(
+        snap.counter(names::CONN_OPENED),
+        0,
+        "no pool, no pooled connects"
+    );
+    assert!(
+        snap.counter(names::NET_FRAMES_OUT) > 0,
+        "contacts are still counted"
     );
 }
 

@@ -127,7 +127,7 @@ fn overloaded_peer_is_shed_in_coverage_but_never_charged_to_health() {
     // answered `Busy`.
     let founder = LiveNode::start(0, fast_config(90, None), None).expect("founder");
     let bootstrap = (0u32, founder.addr().to_string());
-    let nodes = vec![
+    let nodes = [
         founder,
         LiveNode::start(1, fast_config(91, None), Some(bootstrap.clone())).expect("node 1"),
         LiveNode::start(

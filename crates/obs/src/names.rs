@@ -143,8 +143,6 @@ pub const CONN_OPENED: &str = "conn.opened";
 /// Contacts served by reusing an already-established pooled stream
 /// (keep-alive hit — no TCP connect paid).
 pub const CONN_REUSED: &str = "conn.reused";
-/// Idle pooled streams retired by the reaper after their idle timeout.
-pub const CONN_REAPED: &str = "conn.reaped";
 /// Stale keep-alive streams detected in use and transparently replaced
 /// by one fresh connect — never charged as a retry or health failure.
 pub const CONN_STALE_RECONNECTS: &str = "conn.stale_reconnects";

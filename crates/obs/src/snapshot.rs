@@ -246,9 +246,8 @@ impl MetricsSnapshot {
             let _ = writeln!(
                 out,
                 "conn pool: reused {pct:.1}% of contacts ({opened} opened, \
-                 {} stale reconnects, {} reaped)",
-                self.counter(crate::names::CONN_STALE_RECONNECTS),
-                self.counter(crate::names::CONN_REAPED)
+                 {} stale reconnects)",
+                self.counter(crate::names::CONN_STALE_RECONNECTS)
             );
         }
         // Derived summary: overload protection, if the admission gate
@@ -403,13 +402,9 @@ mod tests {
         reg.counter(crate::names::CONN_OPENED).add(5);
         reg.counter(crate::names::CONN_REUSED).add(15);
         reg.counter(crate::names::CONN_STALE_RECONNECTS).add(2);
-        reg.counter(crate::names::CONN_REAPED).add(3);
         let text = reg.snapshot().render_human();
         assert!(text.contains("conn pool: reused 75.0%"), "{text}");
-        assert!(
-            text.contains("5 opened, 2 stale reconnects, 3 reaped"),
-            "{text}"
-        );
+        assert!(text.contains("5 opened, 2 stale reconnects)"), "{text}");
     }
 
     #[test]
