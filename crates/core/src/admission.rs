@@ -18,7 +18,7 @@
 //!
 //! The decision logic lives in the clock-free [`AdmissionState`] so
 //! property tests can drive arbitrary schedules; [`AdmissionGate`]
-//! wraps it with real blocking for the server workers.
+//! wraps it with real blocking for the server's connection readers.
 
 use crate::wire::Priority;
 use parking_lot::{Condvar, Mutex};
@@ -41,7 +41,7 @@ pub struct AdmissionConfig {
     /// pre-admission collapse mode, kept for comparison benchmarks.
     pub shedding: bool,
     /// Longest a request may wait queued before it is shed anyway.
-    /// Bounds how long a server worker can be parked on the gate.
+    /// Bounds how long a connection reader can be parked on the gate.
     pub max_wait_ms: u64,
     /// Base retry hint advertised in `Busy` replies.
     pub retry_after_ms: u64,
@@ -195,7 +195,8 @@ struct GateInner {
     evicted: HashSet<u64>,
 }
 
-/// Blocking wrapper around [`AdmissionState`] for the server workers.
+/// Blocking wrapper around [`AdmissionState`] for the server's
+/// connection readers.
 pub struct AdmissionGate {
     inner: Mutex<GateInner>,
     cv: Condvar,

@@ -60,9 +60,6 @@ pub struct ConnConfig {
     /// Set `TCP_NODELAY` on pooled streams (small frames must not eat
     /// Nagle delay).
     pub nodelay: bool,
-    /// Worker threads serving accepted connections (the bounded server
-    /// model replacing thread-per-connection; clamped to at least 1).
-    pub server_threads: usize,
 }
 
 impl Default for ConnConfig {
@@ -72,7 +69,6 @@ impl Default for ConnConfig {
             idle_timeout: Duration::from_secs(30),
             max_inflight_per_conn: 64,
             nodelay: true,
-            server_threads: 4,
         }
     }
 }

@@ -51,7 +51,7 @@
 //! | `gossip_loop` | engine + diff base, address book, WAL store, catch-up flag  | **engine** (shared by everyone, through methods), durable (leaf) |
 //! | `rpc`         | peer health table, connection pool (one stream per peer)    | health (leaf) |
 //! | `search`      | filter mirror + query cache (Bloofi mounted here), worker pool | **mirror** |
-//! | `server`      | server workers, admission gate, open-connection count       | — |
+//! | `server`      | one reader per accepted stream, admission gate, open-connection table | open connections (leaf) |
 //! | `replica`     | replication decision engine                                 | replica (leaf) |
 //! | `local`       | the local data store                                        | store (leaf) |
 //! | `stats`, `types`, `node` | metric handles; wire/config/result types; the `LiveNode` API | — |

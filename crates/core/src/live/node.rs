@@ -276,15 +276,15 @@ impl LiveNode {
     }
 
     /// Stop the node: no new connection is accepted, the gossip loop
-    /// ends, and every accepted connection is closed — once this
-    /// returns the node serves nothing more. Called automatically on
-    /// drop.
+    /// ends, and every accepted connection is hung up and its reader
+    /// joined — once this returns the node serves nothing more. Called
+    /// automatically on drop.
     pub fn shutdown(&mut self) {
         self.inner.shutdown.store(true, Ordering::Relaxed);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        self.inner.drain_server();
+        self.inner.hang_up_readers();
     }
 }
 

@@ -338,8 +338,8 @@ impl Inner {
     /// exponential backoff between them, health recorded on the final
     /// outcome. Each attempt propagates its read timeout as the frame's
     /// deadline budget, so an overloaded receiver can drop the request
-    /// once we have stopped listening instead of burning a worker on an
-    /// abandoned reply.
+    /// once we have stopped listening instead of spending a service
+    /// slot on an abandoned reply.
     ///
     /// A `Busy` reply ends the schedule immediately — retrying into a
     /// queue that just shed us only deepens the overload — and is

@@ -270,15 +270,15 @@ pub struct LiveConfig {
     /// kill, and startup runs recovery + an anti-entropy catch-up.
     pub durable: Option<DurableConfig>,
     /// Persistent connection pool (one multiplexed stream per peer
-    /// for gossip and RPCs alike, `TCP_NODELAY`, bounded server
-    /// workers). `conn.enabled = false` restores connect-per-contact.
+    /// for gossip and RPCs alike, `TCP_NODELAY`, the server's idle
+    /// horizon). `conn.enabled = false` restores connect-per-contact.
     pub conn: ConnConfig,
     /// Availability-aware autonomous replication (DESIGN.md §15). Off
     /// by default: the node neither advertises capacity nor pushes or
     /// accepts replicas, preserving the paper's one-copy behavior.
     pub replica: ReplicaConfig,
     /// Overload protection (DESIGN.md §16): a bounded, class-aware
-    /// admission gate in front of the server workers. Under saturation
+    /// admission gate in front of frame service. Under saturation
     /// the lowest class queued is shed first — with an explicit `Busy`
     /// reply, never a silent timeout — and frames whose propagated
     /// deadline already passed are dropped unserved.

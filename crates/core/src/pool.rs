@@ -125,19 +125,6 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    /// Enqueue one fire-and-forget job. Unlike [`Self::run_all`]
-    /// nothing blocks and nothing is scoped: the job runs on some
-    /// worker whenever one frees up, so it must own its data
-    /// (`'static`). With zero workers an executed job would never run —
-    /// callers that rely on `execute` size their pool accordingly.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        let mut q = self.shared.queue.lock();
-        q.push_back(Box::new(job));
-        self.shared.queue_depth.set(q.len() as i64);
-        drop(q);
-        self.shared.available.notify_one();
-    }
-
     /// Run every job, in parallel across the workers and the calling
     /// thread, and return their results in submission order. Blocks
     /// until all jobs have finished — which is what lets jobs borrow
@@ -219,16 +206,7 @@ impl Drop for WorkerPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         self.shared.available.notify_all();
-        let me = std::thread::current().id();
         for t in self.workers.drain(..) {
-            // The pool can be dropped *from one of its own workers*: an
-            // `execute`d job may hold the last strong reference to the
-            // structure owning the pool. Joining that worker would be a
-            // self-join deadlock; it exits on its own via the shutdown
-            // flag once the current job returns.
-            if t.thread().id() == me {
-                continue;
-            }
             let _ = t.join();
         }
     }
@@ -383,74 +361,6 @@ mod tests {
             second_ran_on, b_id,
             "helper stole a foreign job after its own scope completed"
         );
-    }
-
-    #[test]
-    fn execute_runs_fire_and_forget_jobs() {
-        let pool = WorkerPool::new(2);
-        let count = Arc::new(AtomicUsize::new(0));
-        for _ in 0..10 {
-            let count = Arc::clone(&count);
-            pool.execute(move || {
-                count.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while count.load(Ordering::Relaxed) < 10 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(count.load(Ordering::Relaxed), 10, "executed jobs never ran");
-    }
-
-    #[test]
-    fn executed_jobs_can_requeue_themselves() {
-        // The server conn loop reschedules each connection as a fresh
-        // job; model that shape: a job chain that re-executes itself
-        // until a countdown hits zero.
-        let pool = Arc::new(WorkerPool::new(1));
-        let count = Arc::new(AtomicUsize::new(0));
-        fn step(pool: &Arc<WorkerPool>, count: &Arc<AtomicUsize>, left: usize) {
-            if left == 0 {
-                return;
-            }
-            count.fetch_add(1, Ordering::Relaxed);
-            let pool2 = Arc::clone(pool);
-            let count2 = Arc::clone(count);
-            let pool3 = Arc::clone(pool);
-            pool3.execute(move || step(&pool2, &count2, left - 1));
-        }
-        step(&pool, &count, 25);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while count.load(Ordering::Relaxed) < 25 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(count.load(Ordering::Relaxed), 25);
-    }
-
-    #[test]
-    fn dropping_pool_from_its_own_worker_does_not_deadlock() {
-        // An executed job holding the last Arc to the pool drops it on
-        // a worker thread; Drop must skip self-join and return.
-        let pool = Arc::new(WorkerPool::new(2));
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let pool2 = Arc::clone(&pool);
-        pool.execute(move || {
-            drop(pool2); // may or may not be the last reference yet
-            let _ = tx.send(());
-        });
-        rx.recv_timeout(Duration::from_secs(5)).expect("job ran");
-        // Now make the *job* own the final reference: hand the Arc to a
-        // job and drop ours first.
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let holder = Arc::clone(&pool);
-        pool.execute(move || {
-            std::thread::sleep(Duration::from_millis(50));
-            drop(holder); // last strong ref released on this worker
-            let _ = tx.send(());
-        });
-        drop(pool);
-        rx.recv_timeout(Duration::from_secs(5))
-            .expect("pool drop on own worker deadlocked");
     }
 
     #[test]

@@ -74,7 +74,7 @@ const SCRATCH_RETAIN_BYTES: usize = 1 << 20;
 thread_local! {
     /// Per-thread scratch for whole frames, reused across writes so the
     /// hot senders — the gossip loop batching a whole exchange into one
-    /// frame, the server workers answering it — stop allocating and
+    /// frame, the connection readers answering it — stop allocating and
     /// freeing a vector for every message.
     static SCRATCH: std::cell::RefCell<Vec<u8>> =
         const { std::cell::RefCell::new(Vec::new()) };

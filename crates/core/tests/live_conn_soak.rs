@@ -1,9 +1,14 @@
 //! Connection-pool behaviour under real sockets: the zero-connect
 //! warm path, one stream per peer for gossip and search alike, a server
-//! worker that never waits on a gossiping client, the uncharged
+//! that never waits on a gossiping client, readers that idle streams
+//! cannot delay and shutdown does not leave behind, the uncharged
 //! stale-reconnect contract, the connect-per-request mode, and a soak
 //! that mixes gossip and search load with ~20% connection faults while
 //! watching process-level resource bounds.
+//!
+//! The thread and descriptor counts are the whole process's: those
+//! assertions assume the tests run one at a time (`--test-threads=1`,
+//! as CI runs this file).
 //!
 //! The acceptance claim for the pooled live wire lives here: a warm
 //! repeated ranked search performs **zero** new TCP connects, proven
@@ -16,6 +21,7 @@ use planetp::wire::{read_any_frame_meta_sized, write_frame};
 use planetp::{ConnConfig, LiveMsg};
 use planetp_gossip::{GossipConfig, Message};
 use planetp_obs::names;
+use std::io::Read;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -206,24 +212,116 @@ fn gossip_and_search_share_one_stream_per_peer() {
     }
 }
 
-/// A gossip frame is a request with one reply, and the worker that
-/// served it is free again: a client that pushes a rumor, reads the
-/// ack and then says nothing more cannot hold a node's only server
-/// worker, so a search RPC from a real peer is answered right away —
-/// not after the silent client's `io_timeout` runs out.
+/// One bare `StatsRequest` round trip on a raw client stream.
+fn stats_round_trip(client: &mut TcpStream) -> Duration {
+    let started = Instant::now();
+    write_frame(client, &[LiveMsg::StatsRequest]).expect("request frame");
+    let (reply, _, _) = read_any_frame_meta_sized::<Vec<LiveMsg>>(client)
+        .expect("reply frame")
+        .expect("the server answers a stats request");
+    let took = started.elapsed();
+    assert!(
+        matches!(
+            reply.into_value().as_slice(),
+            [LiveMsg::StatsResponse { .. }]
+        ),
+        "a stats request is answered with the snapshot"
+    );
+    took
+}
+
+/// Every accepted stream has its own reader, so connections that say
+/// nothing cost a busy one nothing: with 16 silent clients connected,
+/// a 17th's requests are answered in the time the work takes. The
+/// requests are spaced out so each one finds the server idle — the
+/// case a scheduler that polls idle streams in turn answers slowest.
+#[test]
+fn idle_connections_do_not_delay_a_busy_one() {
+    let node =
+        LiveNode::start(0, base_config(770, None, ConnConfig::default()), None).expect("node");
+    let idle: Vec<TcpStream> = (0..16)
+        .map(|_| TcpStream::connect(node.addr()).expect("idle client"))
+        .collect();
+    let mut busy = TcpStream::connect(node.addr()).expect("busy client");
+    busy.set_nodelay(true).unwrap();
+    busy.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+
+    let mut trips: Vec<Duration> = (0..20)
+        .map(|_| {
+            std::thread::sleep(Duration::from_millis(20));
+            stats_round_trip(&mut busy)
+        })
+        .collect();
+    trips.sort();
+    let median = trips[trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median round trip {median:?} beside {} idle connections: {trips:?}",
+        idle.len()
+    );
+}
+
+/// Shutdown wakes readers parked in a read: with 8 clients connected
+/// and silent it returns promptly, every client then sees the hang-up,
+/// and no reader thread or accepted socket outlives it.
+#[test]
+fn shutdown_hangs_up_parked_readers() {
+    let (base_threads, base_fds) = (thread_count(), fd_count());
+    let mut node =
+        LiveNode::start(0, base_config(780, None, ConnConfig::default()), None).expect("node");
+    // One answered request each proves the stream was accepted and is
+    // being read; from here on the clients say nothing.
+    let mut clients: Vec<TcpStream> = (0..8)
+        .map(|_| {
+            let mut c = TcpStream::connect(node.addr()).expect("client");
+            c.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+            stats_round_trip(&mut c);
+            c
+        })
+        .collect();
+
+    let started = Instant::now();
+    node.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "shutdown waited {took:?} on parked readers"
+    );
+    for (i, c) in clients.iter_mut().enumerate() {
+        let mut byte = [0u8; 1];
+        assert!(
+            matches!(c.read(&mut byte), Ok(0)),
+            "client {i} was not hung up by shutdown"
+        );
+    }
+    drop(clients);
+    drop(node);
+    if let (Some(threads), Some(fds)) = (base_threads, base_fds) {
+        assert!(
+            wait_for(
+                || thread_count().is_some_and(|t| t <= threads)
+                    && fd_count().is_some_and(|f| f <= fds),
+                Duration::from_secs(5),
+            ),
+            "shutdown left threads or descriptors behind: {:?} threads ({threads} at \
+             start), {:?} descriptors ({fds} at start)",
+            thread_count(),
+            fd_count()
+        );
+    }
+}
+
+/// A gossip frame is a request with one reply, and the server owes its
+/// sender nothing after it: a client that pushes a rumor, reads the
+/// ack and then says nothing more holds nothing a real peer needs, so
+/// a search RPC from one is answered right away — not after the silent
+/// client's `io_timeout` runs out.
 #[test]
 fn silent_gossip_client_does_not_hold_the_server_worker() {
     const IO_TIMEOUT: Duration = Duration::from_secs(4);
     let config = |id: u32| LiveConfig {
         io_timeout: IO_TIMEOUT,
-        ..base_config(
-            750 + u64::from(id),
-            None,
-            ConnConfig {
-                server_threads: 1,
-                ..ConnConfig::default()
-            },
-        )
+        ..base_config(750 + u64::from(id), None, ConnConfig::default())
     };
     let nodes = community(2, config);
     let (served, searcher) = (&nodes[0], &nodes[1]);
@@ -411,7 +509,6 @@ fn rpc_dead_peer_charges_retries_and_health() {
 #[test]
 fn soak_under_connection_faults_stays_bounded() {
     const N: u32 = 8;
-    const SERVER_THREADS: usize = 2;
     const POOL_THREADS: usize = 4;
     let soak_secs: u64 = std::env::var("PLANETP_SOAK_SECS")
         .ok()
@@ -421,10 +518,6 @@ fn soak_under_connection_faults_stays_bounded() {
     let base_threads = thread_count();
     let base_fds = fd_count();
 
-    let conn = ConnConfig {
-        server_threads: SERVER_THREADS,
-        ..ConnConfig::default()
-    };
     let faulty = |seed: u64| {
         Some(Arc::new(FaultInjector::new(
             seed,
@@ -441,7 +534,11 @@ fn soak_under_connection_faults_stays_bounded() {
         )))
     };
     let mut nodes = community(N, |id| {
-        let mut c = base_config(730 + u64::from(id), faulty(930 + u64::from(id)), conn);
+        let mut c = base_config(
+            730 + u64::from(id),
+            faulty(930 + u64::from(id)),
+            ConnConfig::default(),
+        );
         c.io_timeout = Duration::from_secs(1);
         c.fanout.contact_deadline = Some(Duration::from_millis(700));
         c.fanout.pool_threads = POOL_THREADS;
@@ -461,10 +558,11 @@ fn soak_under_connection_faults_stays_bounded() {
     let reused_before = sum(names::CONN_REUSED, &nodes);
 
     // Every live thread this harness is entitled to: listener + gossip
-    // loop, the bounded server worker pool, and the search fan-out pool
-    // per node, plus slack for threads mid-spawn/mid-exit.
+    // loop, one reader per peer, and the search fan-out pool per node,
+    // plus slack for threads mid-spawn/mid-exit (a reader whose stream
+    // a fault killed overlaps briefly with its replacement).
     let thread_bound =
-        base_threads.map(|b| b + N as usize * (2 + SERVER_THREADS + POOL_THREADS) + 8);
+        base_threads.map(|b| b + N as usize * (2 + (N as usize - 1) + POOL_THREADS) + 8);
     // Descriptor ceiling: listener + a bounded pool per peer pair, both
     // directions, with generous slack — the point is that a leak grows
     // past any constant, not the exact constant.
